@@ -89,6 +89,13 @@ def _delta_flag(text: str) -> str:
     return text
 
 
+def _positive_flag(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _seed_flag(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -106,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, graph_input: bool = True) -> None:
         p.add_argument("--config", help="JSON file of flag defaults")
-        p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+        p.add_argument(
+            "--workers", type=_positive_flag, help="parallel workers (default 1)"
+        )
         p.add_argument(
             "--format",
             choices=("csv", "json"),
@@ -181,12 +190,36 @@ def build_parser() -> argparse.ArgumentParser:
 _PATH_KEYS = ("input", "output", "output_prefix")
 
 
-def _merge_params(args: argparse.Namespace) -> dict:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The argparse actions of ``command``'s flags, by destination."""
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    return {a.dest: a for a in commands.choices[command]._actions}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A --config value given the checks its flag's text would get."""
+    try:
+        if action.nargs == 0:  # a switch such as --adaptive
+            if not isinstance(value, bool):
+                raise ValueError(f"expected true or false, got {value!r}")
+        elif action.type is not None:
+            value = action.type(str(value))
+        elif not isinstance(value, str):
+            raise ValueError(f"expected a string, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{value!r} is not one of {sorted(action.choices)}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"--config key {key!r}: {exc}") from exc
+    return value
+
+
+def _merge_params(args: argparse.Namespace, actions: dict) -> dict:
     """Built-in defaults, overridden by --config values, overridden by flags.
 
-    Only this subcommand's flags are kept; config keys belonging to other
-    subcommands are tolerated (shared pipeline configs), unknown keys are
-    rejected.
+    Only this subcommand's flags are kept, and their config values pass
+    through the flag's converter and choices (``actions``, by destination);
+    config keys belonging to other subcommands are tolerated (shared
+    pipeline configs), unknown keys are rejected.
     """
     dests = set(vars(args)) - {"command"}
     params = {k: DEFAULTS.get(k) for k in dests}
@@ -200,7 +233,7 @@ def _merge_params(args: argparse.Namespace) -> dict:
         for key, value in loaded.items():
             norm = key.replace("-", "_")
             if norm in dests:
-                params[norm] = value
+                params[norm] = _config_value(actions[norm], key, value)
             elif norm not in DEFAULTS and norm not in _PATH_KEYS:
                 raise ParseError(f"unknown --config key {key!r}")
     params.update(given)
@@ -421,9 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _merge_params(args)
+        params = _merge_params(args, _flag_actions(parser, args.command))
         return _HANDLERS[args.command](params)
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
+    except (OSError, ParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)
         return 1
     except (InfeasibleError, DegenerateError) as exc:

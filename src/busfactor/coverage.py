@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateError, InfeasibleError
-from .graph import PersonId, ProjectGraph, require_nondegenerate
+from .graph import PersonId, ProjectGraph, degree_order, require_nondegenerate
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets
 
@@ -86,7 +86,7 @@ def mcs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
     one-shot order equals per-step recomputation.
     """
     target = _coverage_target(graph, delta)
-    order = sorted(graph.people, key=lambda p: (-graph.degree_of_person(p), p))
+    order = degree_order(graph)
     live = graph.task_degrees()
     covered = graph.covered_task_count()
     removed: set[PersonId] = set()

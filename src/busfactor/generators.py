@@ -24,7 +24,7 @@ import numpy as np
 
 from .coverage import DeltaLike, mcs_greedy, mrs_greedy, normalize_delta
 from .errors import InfeasibleError
-from .graph import ProjectGraph
+from .graph import ProjectGraph, degree_order
 from .robustness import bus_factor_greedy
 
 logger = logging.getLogger(__name__)
@@ -123,15 +123,22 @@ def _repair_min_degree(
     for p in sorted(graph.people):
         missing = min_degree - graph.degree_of_person(p)
         if missing > 0:
-            candidates = np.setdiff1d(all_tasks, sorted(graph.tasks_of(p)))
+            candidates = _absent(all_tasks, graph.tasks_of(p))
             for t in rng.choice(candidates, size=missing, replace=False):
                 graph.add_edge(p, int(t))
     for t in sorted(graph.tasks):
         missing = min_degree - graph.degree_of_task(t)
         if missing > 0:
-            candidates = np.setdiff1d(all_people, sorted(graph.people_of(t)))
+            candidates = _absent(all_people, graph.people_of(t))
             for p in rng.choice(candidates, size=missing, replace=False):
                 graph.add_edge(int(p), t)
+
+
+def _absent(ids: np.ndarray, present: frozenset[int]) -> np.ndarray:
+    """The sorted ``ids`` not in ``present``, a subset of them, in order."""
+    keep = np.ones(len(ids), dtype=bool)
+    keep[np.searchsorted(ids, list(present))] = False
+    return ids[keep]
 
 
 def disjoint_union(first: ProjectGraph, second: ProjectGraph) -> ProjectGraph:
@@ -170,11 +177,6 @@ def add_singletons(graph: ProjectGraph, count: int, seed: int = 0) -> ProjectGra
     return out
 
 
-def duplication_order(graph: ProjectGraph) -> list[int]:
-    """People in decreasing-degree order (ties to the smallest id)."""
-    return sorted(graph.people, key=lambda p: (-graph.degree_of_person(p), p))
-
-
 def add_duplicates(graph: ProjectGraph, count: int) -> ProjectGraph:
     """Clone the ``count`` busiest people; beyond everyone, wrap and reclone.
 
@@ -182,7 +184,7 @@ def add_duplicates(graph: ProjectGraph, count: int) -> ProjectGraph:
     the original degrees.
     """
     out = graph.copy()
-    order = duplication_order(graph)
+    order = degree_order(graph)
     if count > len(order):
         logger.warning(
             "cloning %d people wraps around the %d available; "
@@ -379,7 +381,7 @@ def _checkpoint_graphs(
             if i % stride == 0 or i == total_steps:
                 snapshots.append((i, working.copy()))
     elif kind == "duplicates":
-        order = duplication_order(graph)
+        order = degree_order(graph)
         if total_steps > len(order):
             notes.append(
                 f"cloning {total_steps} people wraps around the {len(order)} available"

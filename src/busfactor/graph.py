@@ -9,11 +9,21 @@ on its own :meth:`ProjectGraph.copy`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from .errors import DegenerateError
 
 PersonId = int
 TaskId = int
+
+
+class FrozenGraph(NamedTuple):
+    """Dense-index snapshot of a graph: ``adjacency[i]`` holds the sorted
+    indices into ``tasks`` of the tasks done by ``people[i]``."""
+
+    people: tuple[PersonId, ...]
+    tasks: tuple[TaskId, ...]
+    adjacency: tuple[tuple[int, ...], ...]
 
 
 class ProjectGraph:
@@ -125,6 +135,18 @@ class ProjectGraph:
         new._tasks = {t: set(adj) for t, adj in self._tasks.items()}
         new._n_edges = self._n_edges
         return new
+
+    def freeze(self) -> FrozenGraph:
+        """Sorted people and tasks with per-person dense task indices.
+
+        Built afresh on every call: the graph is mutable, so a cached view
+        could go stale.
+        """
+        people = tuple(sorted(self._people))
+        tasks = tuple(sorted(self._tasks))
+        index = {t: i for i, t in enumerate(tasks)}.__getitem__
+        adjacency = tuple(tuple(sorted(map(index, self._people[p]))) for p in people)
+        return FrozenGraph(people, tasks, adjacency)
 
     # -- mutation ----------------------------------------------------------
 
@@ -254,6 +276,12 @@ class ProjectGraph:
     def _require_task(self, task: TaskId) -> None:
         if task not in self._tasks:
             raise ValueError(f"unknown task {task}")
+
+
+def degree_order(graph: ProjectGraph) -> list[PersonId]:
+    """People by decreasing degree, ties to the smallest id."""
+    degrees = graph.person_degrees()
+    return sorted(degrees, key=lambda p: (-degrees[p], p))
 
 
 def require_nondegenerate(graph: ProjectGraph) -> None:

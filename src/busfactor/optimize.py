@@ -20,12 +20,11 @@ from .generators import make_rng
 from .graph import ProjectGraph
 from .robustness import (
     DecayCurve,
-    decay_curve,
+    bus_factor_greedy,
     greedy_order,
-    _area_numerator,
+    insertion_maxima,
     _normalization,
 )
-from .robustness import bus_factor_greedy
 
 
 @dataclass(frozen=True)
@@ -232,16 +231,6 @@ class AnnealingTrace:
     rows: list[TraceRow] = field(default_factory=list)
 
 
-def _has_feasible_move(graph: ProjectGraph) -> bool:
-    n_tasks = graph.n_tasks
-    for p in graph.people:
-        if graph.degree_of_person(p) >= n_tasks:
-            continue
-        if any(graph.degree_of_task(t) >= 2 for t in graph.tasks_of(p)):
-            return True
-    return False
-
-
 def anneal(
     graph: ProjectGraph, config: AnnealingConfig
 ) -> tuple[ProjectGraph, AnnealingTrace]:
@@ -249,31 +238,48 @@ def anneal(
 
     Proposal: take a random edge (p, t) and a random task the person does
     not already cover, and move the edge there. Moves off a task's last
-    contributor are rejected before touching the graph, so every initially
+    contributor are rejected before drawing a target, so every initially
     covered task stays covered; person degrees are invariant, which also
     pins the greedy removal order once and for all.
+
+    The chain runs on dense indices: people sit at fixed slots in
+    reinsertion order (the greedy order reversed), so each candidate is
+    scored by one :func:`insertion_maxima` pass over the slots, and a
+    graph is built once, from the best edge list, at the end.
     """
     config.validate()
     if graph.n_edges < 1:
         raise DegenerateError("annealing needs at least one edge")
     if graph.n_tasks < 2:
         raise DegenerateError("annealing needs at least two tasks")
-    if not _has_feasible_move(graph):
+
+    people, tasks, adjacency = graph.freeze()
+    n_tasks = len(tasks)
+    own_tasks = dict(zip(people, adjacency))
+    by_slot = greedy_order(graph)[::-1]
+    slot = {p: k for k, p in enumerate(by_slot)}
+    held = [set(own_tasks[p]) for p in by_slot]
+    # (slot, task index) in the canonical (person, task) order, which is
+    # the order the edge draws index into
+    edges = [(slot[p], t) for p in people for t in own_tasks[p]]
+    task_degree = [0] * n_tasks
+    for _, t in edges:
+        task_degree[t] += 1
+    if not any(
+        len(own) < n_tasks and any(task_degree[t] >= 2 for t in own)
+        for own in held
+    ):
         return graph.copy(), AnnealingTrace()
 
+    def area() -> int:
+        # trapezoid sum of the curve, which is the maxima reversed then 0
+        maxima = insertion_maxima(n_tasks, held)
+        return 2 * sum(maxima) - maxima[-1]
+
     rng = make_rng(config.seed)
-    working = graph.copy()
-    order = greedy_order(working)  # person degrees never change below
-    denom = _normalization(working)
-
-    def objective_area(g: ProjectGraph) -> int:
-        return _area_numerator(decay_curve(g, order))
-
-    edges = list(working.edges())
-    tasks = sorted(working.tasks)
-    current_area = objective_area(working)
-    best_area = current_area
-    best_graph = working.copy()
+    denom = _normalization(graph)
+    current_area = best_area = area()
+    best_edges = list(edges)
     trace = AnnealingTrace()
 
     temperature = config.initial_temperature
@@ -282,22 +288,27 @@ def anneal(
         for _ in range(config.steps_per_temperature):
             step += 1
             i = int(rng.integers(len(edges)))
-            p, t = edges[i]
-            if working.degree_of_task(t) < 2:
-                continue  # would abandon t; reject before mutating
-            t_new = _draw_new_task(rng, working, p, tasks)
-            if t_new is None:
-                continue
-            working.remove_edge(p, t)
-            working.add_edge(p, t_new)
-            candidate_area = objective_area(working)
+            k, t = edges[i]
+            if task_degree[t] < 2:
+                continue  # would abandon t
+            own = held[k]
+            if len(own) >= n_tasks:
+                continue  # covers every task already
+            t_new = int(rng.integers(n_tasks))
+            while t_new in own:
+                t_new = int(rng.integers(n_tasks))
+            own.remove(t)
+            own.add(t_new)
+            candidate_area = area()
             delta = (candidate_area - current_area) / denom
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
                 current_area = candidate_area
-                edges[i] = (p, t_new)
+                edges[i] = (k, t_new)
+                task_degree[t] -= 1
+                task_degree[t_new] += 1
                 if candidate_area > best_area:
                     best_area = candidate_area
-                    best_graph = working.copy()
+                    best_edges = list(edges)
                 trace.rows.append(
                     TraceRow(
                         step=step,
@@ -306,21 +317,15 @@ def anneal(
                     )
                 )
             else:
-                working.remove_edge(p, t_new)
-                working.add_edge(p, t)
+                own.remove(t_new)
+                own.add(t)
         temperature *= config.cooling_rate
-    return best_graph, trace
-
-
-def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
-    """Uniform task outside the person's neighborhood, or None if covered."""
-    degree = graph.degree_of_person(person)
-    if degree >= len(tasks):
-        return None
-    while True:
-        t = tasks[int(rng.integers(len(tasks)))]
-        if not graph.has_edge(person, t):
-            return t
+    best = ProjectGraph(
+        people=people,
+        tasks=tasks,
+        edges=((by_slot[k], tasks[t]) for k, t in best_edges),
+    )
+    return best, trace
 
 
 @dataclass(frozen=True)

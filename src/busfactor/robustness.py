@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from .graph import PersonId, ProjectGraph, require_nondegenerate
+from .graph import PersonId, ProjectGraph, degree_order, require_nondegenerate
 
 EXACT_GUARD = 8  # permutation enumeration refuses larger people sets
 
@@ -42,35 +42,39 @@ class RobustnessResult:
     curve: DecayCurve
 
 
-class _UnionFind:
-    """Disjoint sets over dense indices with per-root task counts."""
+def insertion_maxima(
+    n_tasks: int, reinserted: Iterable[Iterable[int]]
+) -> list[int]:
+    """Running maximum of the largest component's task count as people are
+    inserted back, one per entry of ``reinserted`` (their dense task
+    indices), into the graph of ``n_tasks`` isolated tasks.
 
-    __slots__ = ("parent", "rank", "task_count")
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-        self.task_count = [0] * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        """Union by rank; returns the surviving root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.task_count[ra] += self.task_count[rb]
-        return ra
+    Newman-Ziff style reverse percolation: a disjoint-set forest over the
+    tasks alone, with path halving and union by task count. A person joins
+    their tasks into one component; one with no tasks forms a task-free
+    component, which never raises the maximum. Components only merge and
+    grow, so a running maximum is the largest component after each step.
+    """
+    parent = list(range(n_tasks))
+    count = [1] * n_tasks
+    maxima = []
+    best = 0
+    for tasks in reinserted:
+        root = -1
+        for t in tasks:
+            while parent[t] != t:  # path halving
+                parent[t] = t = parent[parent[t]]
+            if root < 0:
+                root = t
+            elif t != root:
+                if count[t] > count[root]:
+                    root, t = t, root
+                parent[t] = root
+                count[root] += count[t]
+        if root >= 0 and count[root] > best:
+            best = count[root]
+        maxima.append(best)
+    return maxima
 
 
 def _validate_sequence(graph: ProjectGraph, order: RemovalSequence) -> list[PersonId]:
@@ -83,28 +87,17 @@ def _validate_sequence(graph: ProjectGraph, order: RemovalSequence) -> list[Pers
 def decay_curve(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
     """Decay curve for a full removal order, by reverse simulation.
 
-    People are inserted back in reverse order into the task-only graph; a
-    disjoint-set forest tracks per-component task counts. The maximum over
-    components containing a person never decreases during insertion
-    (components only merge and grow), so a running maximum suffices.
+    People are inserted back in reverse order into the task-only graph by
+    :func:`insertion_maxima`; the curve is its running maxima read
+    backwards, ending at 0 once everyone is gone.
     """
     order = _validate_sequence(graph, order)
-    task_index = {t: i for i, t in enumerate(graph.tasks)}
-    n_tasks = len(task_index)
-    person_index = {p: n_tasks + i for i, p in enumerate(graph.people)}
-    uf = _UnionFind(n_tasks + len(person_index))
-    for i in range(n_tasks):
-        uf.task_count[i] = 1
-
-    reversed_curve = [0]  # zero people inserted
-    best = 0
-    for p in reversed(order):
-        root = person_index[p]
-        for t in graph.tasks_of(p):
-            root = uf.union(root, task_index[t])
-        best = max(best, uf.task_count[root])
-        reversed_curve.append(best)
-    return DecayCurve(tuple(reversed(reversed_curve)))
+    people, tasks, adjacency = graph.freeze()
+    position = {p: i for i, p in enumerate(people)}
+    maxima = insertion_maxima(
+        len(tasks), [adjacency[position[p]] for p in reversed(order)]
+    )
+    return DecayCurve((*reversed(maxima), 0))
 
 
 def decay_curve_naive(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
@@ -150,7 +143,7 @@ def greedy_order(graph: ProjectGraph, adaptive: bool = False) -> list[PersonId]:
     that equivalence.
     """
     if not adaptive:
-        return sorted(graph.people, key=lambda p: (-graph.degree_of_person(p), p))
+        return degree_order(graph)
     remaining = graph.copy()
     order: list[PersonId] = []
     while remaining.n_people:

@@ -1,9 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from busfactor.errors import DegenerateError
+from busfactor.generators import make_rng
 from busfactor.graph import ProjectGraph
+from busfactor.optimize import AnnealingConfig, AnnealingTrace, TraceRow
+from busfactor.robustness import (
+    _area_numerator,
+    _normalization,
+    decay_curve,
+    greedy_order,
+)
 
 
 @pytest.fixture
@@ -105,3 +115,97 @@ def z_worst_bruteforce(graph: ProjectGraph, target) -> int:
             break
         z = k
     return z
+
+
+# -- reference annealer: mutates a ProjectGraph, rescores it with decay_curve ----
+
+
+def _has_feasible_move(graph: ProjectGraph) -> bool:
+    n_tasks = graph.n_tasks
+    for p in graph.people:
+        if graph.degree_of_person(p) >= n_tasks:
+            continue
+        if any(graph.degree_of_task(t) >= 2 for t in graph.tasks_of(p)):
+            return True
+    return False
+
+
+def anneal_reference(
+    graph: ProjectGraph, config: AnnealingConfig
+) -> tuple[ProjectGraph, AnnealingTrace]:
+    """Rewire assignments to raise greedy robustness, workloads untouched.
+
+    Proposal: take a random edge (p, t) and a random task the person does
+    not already cover, and move the edge there. Moves off a task's last
+    contributor are rejected before touching the graph, so every initially
+    covered task stays covered; person degrees are invariant, which also
+    pins the greedy removal order once and for all.
+    """
+    config.validate()
+    if graph.n_edges < 1:
+        raise DegenerateError("annealing needs at least one edge")
+    if graph.n_tasks < 2:
+        raise DegenerateError("annealing needs at least two tasks")
+    if not _has_feasible_move(graph):
+        return graph.copy(), AnnealingTrace()
+
+    rng = make_rng(config.seed)
+    working = graph.copy()
+    order = greedy_order(working)  # person degrees never change below
+    denom = _normalization(working)
+
+    def objective_area(g: ProjectGraph) -> int:
+        return _area_numerator(decay_curve(g, order))
+
+    edges = list(working.edges())
+    tasks = sorted(working.tasks)
+    current_area = objective_area(working)
+    best_area = current_area
+    best_graph = working.copy()
+    trace = AnnealingTrace()
+
+    temperature = config.initial_temperature
+    step = 0
+    while temperature >= config.min_temperature:
+        for _ in range(config.steps_per_temperature):
+            step += 1
+            i = int(rng.integers(len(edges)))
+            p, t = edges[i]
+            if working.degree_of_task(t) < 2:
+                continue  # would abandon t; reject before mutating
+            t_new = _draw_new_task(rng, working, p, tasks)
+            if t_new is None:
+                continue
+            working.remove_edge(p, t)
+            working.add_edge(p, t_new)
+            candidate_area = objective_area(working)
+            delta = (candidate_area - current_area) / denom
+            if delta >= 0 or rng.random() < math.exp(delta / temperature):
+                current_area = candidate_area
+                edges[i] = (p, t_new)
+                if candidate_area > best_area:
+                    best_area = candidate_area
+                    best_graph = working.copy()
+                trace.rows.append(
+                    TraceRow(
+                        step=step,
+                        temperature=temperature,
+                        objective=best_area / denom,
+                    )
+                )
+            else:
+                working.remove_edge(p, t_new)
+                working.add_edge(p, t)
+        temperature *= config.cooling_rate
+    return best_graph, trace
+
+
+def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
+    """Uniform task outside the person's neighborhood, or None if covered."""
+    degree = graph.degree_of_person(person)
+    if degree >= len(tasks):
+        return None
+    while True:
+        t = tasks[int(rng.integers(len(tasks)))]
+        if not graph.has_edge(person, t):
+            return t

@@ -225,3 +225,38 @@ def test_workers_do_not_change_outputs(tmp_path, fixture_path):
                    "--seed", 9, "--workers", workers, "--output", out) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"workers": "2"}, 0),
+        ({"swaps_per_edge": "x"}, 1),
+        ({"seed": 1.5}, 1),
+        ({"workers": 0}, 1),
+        ({"format": "xml"}, 1),
+        ({"output": 3}, 1),
+        ({"include_null_values": "yes"}, 1),
+    ],
+)
+def test_config_values_get_flag_checks(tmp_path, fixture_path, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run("nulltest", "--input", fixture_path, "--samples", 4, "--config", path,
+               "--output", tmp_path / "null.json") == code
+
+
+def test_non_utf8_input_is_input_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"person,task\np1,t\xff\n")
+    assert run("analyze", "--input", bad, "--output", tmp_path / "o.json") == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_rejected_with_usage(fixture_path, tmp_path, capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        run("nulltest", "--input", fixture_path, "--samples", 4, "--workers", workers,
+            "--output", tmp_path / "null.json")
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "null.json").exists()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,11 @@ from busfactor.generators import (
     add_singletons,
     densify,
     disjoint_union,
-    duplication_order,
     generate_powerlaw,
     run_sweep,
     sparsify,
 )
-from busfactor.graph import ProjectGraph
+from busfactor.graph import ProjectGraph, degree_order
 from busfactor.io import render_edge_list
 from busfactor.robustness import bus_factor_greedy
 
@@ -33,6 +34,14 @@ def test_generate_min_degree():
     g = generate_powerlaw(GeneratorConfig(n_people=40, n_tasks=30, min_degree=2, seed=1))
     assert min(g.person_degrees().values()) >= 2
     assert min(g.task_degrees().values()) >= 2
+
+
+def test_generate_min_degree_repair_is_pinned():
+    # the repair pass must keep drawing the same candidates; the benchmark's
+    # digests cover min_degree=1 only
+    g = generate_powerlaw(GeneratorConfig(n_people=300, n_tasks=400, min_degree=3, seed=7))
+    digest = hashlib.sha256(render_edge_list(g).encode()).hexdigest()
+    assert digest == "9d2d62836d661b330637bfa3996cb28723c430dd27f790382f1d09514c0b2a52"
 
 
 def test_generate_config_validation():
@@ -136,7 +145,7 @@ def test_add_duplicates(four_edge_graph):
 
 def test_duplication_order():
     g = ProjectGraph(edges=[(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
-    assert duplication_order(g) == [2, 3, 1]
+    assert degree_order(g) == [2, 3, 1]
 
 
 def test_duplicate_raises_silo_robustness():

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from busfactor.optimize import (
 )
 from busfactor.robustness import bus_factor_greedy
 
-from conftest import random_bipartite
+from conftest import anneal_reference, random_bipartite
 
 
 def two_silo(seed_a=501, seed_b=502, people=30, tasks=40):
@@ -183,6 +184,31 @@ def test_anneal_never_abandons_tasks_midway():
     covered_before = {t for t in g.tasks if g.degree_of_task(t) > 0}
     optimized, _ = anneal(g, SHORT_SA)
     assert {t for t in optimized.tasks if optimized.degree_of_task(t) > 0} == covered_before
+
+
+def test_anneal_matches_reference_random():
+    rng = np.random.default_rng(77)
+    config = replace(SHORT_SA, steps_per_temperature=25)
+    compared = 0
+    for seed in range(30):
+        g = random_bipartite(rng, 9, 9)
+        if g.n_edges < 1 or g.n_tasks < 2:
+            continue
+        got, trace = anneal(g, replace(config, seed=seed))
+        want, want_trace = anneal_reference(g, replace(config, seed=seed))
+        assert trace.rows == want_trace.rows
+        assert got == want
+        compared += bool(trace.rows)
+    assert compared >= 10
+
+
+def test_anneal_matches_reference_two_silo():
+    silo = two_silo(seed_a=61, seed_b=62, people=15, tasks=20)
+    config = AnnealingConfig(steps_per_temperature=10, seed=7)
+    got, trace = anneal(silo, config)
+    want, want_trace = anneal_reference(silo, config)
+    assert trace.rows == want_trace.rows
+    assert got == want
 
 
 # -- paired decay ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from busfactor.errors import DegenerateError
 from busfactor.graph import ProjectGraph
@@ -48,6 +49,25 @@ def test_decay_matches_naive_random():
         g = random_bipartite(rng, 12, 12)
         order = random_permutation(rng, g)
         assert decay_curve(g, order).values == decay_curve_naive(g, order).values
+
+
+@st.composite
+def graphs_with_orders(draw):
+    """Sparse non-contiguous ids declared in any order, isolated nodes on
+    both sides allowed, plus a removal order."""
+    people = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
+    tasks = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
+    pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks))
+    edges = draw(st.sets(pairs, max_size=30)) if people and tasks else set()
+    graph = ProjectGraph(people=people, tasks=tasks, edges=sorted(edges))
+    return graph, draw(st.permutations(people))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_orders())
+def test_decay_matches_naive_property(case):
+    graph, order = case
+    assert decay_curve(graph, order).values == decay_curve_naive(graph, order).values
 
 
 def test_curve_boundaries_random():
