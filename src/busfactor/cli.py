@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -417,9 +418,8 @@ def _anneal_restarts(graph, base: AnnealingConfig, restarts: int, workers: int):
         for r in range(restarts)
     ]
     jobs = [(graph, c) for c in configs]
-    if workers > 1 and restarts > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_restart_job, jobs))
     else:

@@ -429,6 +429,7 @@ def run_sweep(
     table = SweepTable(kind=kind, delta=d, truncated=truncated, notes=notes)
 
     jobs = [(g, d) for _, g in snapshots]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_measure_job, jobs, chunksize=4))

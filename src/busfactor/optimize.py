@@ -14,10 +14,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DegenerateError
 from .generators import make_rng
-from .graph import ProjectGraph
+from .graph import (
+    PersonId,
+    ProjectGraph,
+    TaskId,
+    degree_order,
+    require_nondegenerate,
+)
 from .robustness import (
     DecayCurve,
     bus_factor_greedy,
@@ -42,12 +49,22 @@ class NullModelConfig:
 
 @dataclass(frozen=True)
 class SwapResult:
-    """One degree-preserving rewiring; ``swaps == 0`` means the graph was
-    returned unchanged (too few edges, or rigid like a complete graph)."""
+    """One degree-preserving rewiring in dense form: ``held[k]`` is the set
+    of indices into ``tasks`` covered by ``people[k]``. ``swaps == 0`` means
+    the graph was returned unchanged (too few edges, or rigid like a
+    complete graph). ``graph`` is built from ``held`` on first access."""
 
-    graph: ProjectGraph
+    people: tuple[PersonId, ...]
+    tasks: tuple[TaskId, ...]
+    held: tuple[set[int], ...]
     attempts: int
     swaps: int
+
+    @cached_property
+    def graph(self) -> ProjectGraph:
+        people, tasks = self.people, self.tasks
+        edges = ((people[k], tasks[t]) for k, own in enumerate(self.held) for t in own)
+        return ProjectGraph(people=people, tasks=tasks, edges=edges)
 
 
 def null_sample(
@@ -58,39 +75,42 @@ def null_sample(
     Attempts ``swaps_per_edge * n_edges`` double-edge swaps: two edges
     (p1,t1), (p2,t2) are crossed to (p1,t2), (p2,t1) when all four nodes are
     distinct and neither crossed edge exists.
+
+    The swaps run on the :meth:`ProjectGraph.freeze` view: edge ``i``, in
+    the canonical (person, task) order the draws index into, keeps its
+    person slot ``owner[i]`` for good (a swap exchanges tasks only) and
+    holds task index ``task[i]``; the per-person task sets ``held`` answer
+    the crossed-edge checks. No graph is built unless ``.graph`` is read.
     """
     config.validate()
-    if graph.n_edges < 2:
-        return SwapResult(graph=graph.copy(), attempts=0, swaps=0)
-    rng = make_rng(config.seed, sample_index)
-    edges = list(graph.edges())
-    edge_set = set(edges)
-    m = len(edges)
+    people, tasks, adjacency = graph.freeze()
+    held = tuple(set(own) for own in adjacency)
+    m = graph.n_edges
+    if m < 2:
+        return SwapResult(people, tasks, held, attempts=0, swaps=0)
+    owner = [k for k, own in enumerate(adjacency) for _ in own]
+    task = [t for own in adjacency for t in own]
     attempts = config.swaps_per_edge * m
-    draws = rng.integers(0, m, size=2 * attempts).tolist()
+    rng = make_rng(config.seed, sample_index)
+    draws = iter(rng.integers(0, m, size=2 * attempts).tolist())
     swaps = 0
-    for k in range(attempts):
-        i, j = draws[2 * k], draws[2 * k + 1]
-        if i == j:
+    for i, j in zip(draws, draws):
+        p1, p2 = owner[i], owner[j]
+        if p1 == p2:  # also covers i == j
             continue
-        p1, t1 = edges[i]
-        p2, t2 = edges[j]
-        if p1 == p2 or t1 == t2:
+        t1, t2 = task[i], task[j]
+        if t1 == t2:
             continue
-        new_a, new_b = (p1, t2), (p2, t1)
-        if new_a in edge_set or new_b in edge_set:
+        own1, own2 = held[p1], held[p2]
+        if t2 in own1 or t1 in own2:
             continue
-        edge_set.remove((p1, t1))
-        edge_set.remove((p2, t2))
-        edge_set.add(new_a)
-        edge_set.add(new_b)
-        edges[i] = new_a
-        edges[j] = new_b
+        own1.remove(t1)
+        own1.add(t2)
+        own2.remove(t2)
+        own2.add(t1)
+        task[i], task[j] = t2, t1
         swaps += 1
-    sampled = ProjectGraph(
-        people=graph.people, tasks=graph.tasks, edges=edges
-    )
-    return SwapResult(graph=sampled, attempts=attempts, swaps=swaps)
+    return SwapResult(people, tasks, held, attempts=attempts, swaps=swaps)
 
 
 @dataclass(frozen=True)
@@ -116,23 +136,37 @@ class PermutationTestResult:
         return out
 
 
-def _null_objective(args: tuple[ProjectGraph, NullModelConfig, int]) -> float:
-    graph, config, index = args
-    return bus_factor_greedy(null_sample(graph, config, index).graph).value
-
-
-def _null_objective_chunk(
-    args: tuple[ProjectGraph, NullModelConfig, int, int]
+def _null_objectives(
+    graph: ProjectGraph, config: NullModelConfig, start: int, stop: int
 ) -> list[float]:
-    graph, config, start, stop = args
-    return [_null_objective((graph, config, i)) for i in range(start, stop)]
+    """Greedy robustness of the null samples ``start .. stop - 1``.
+
+    A sample keeps every person's degree, so the greedy order of ``graph``
+    is every sample's greedy order: it is worked out once, and each sample
+    is scored by one :func:`insertion_maxima` pass over its ``held`` sets,
+    giving the same integer area and normalization as
+    :func:`bus_factor_greedy`.
+    """
+    require_nondegenerate(graph)
+    slot = {p: k for k, p in enumerate(sorted(graph.people))}
+    reinsertion = [slot[p] for p in reversed(degree_order(graph))]
+    n_tasks = graph.n_tasks
+    denom = _normalization(graph)
+    values = []
+    for i in range(start, stop):
+        held = null_sample(graph, config, i).held
+        maxima = insertion_maxima(n_tasks, [held[k] for k in reinsertion])
+        values.append((2 * sum(maxima) - maxima[-1]) / denom)
+    return values
 
 
-def _map_jobs(fn, jobs, workers: int):
+def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
+    """``fn(*job)`` for each job, in order; at most one process per job."""
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
 
 
 def null_objectives(
@@ -149,9 +183,9 @@ def null_objectives(
             (graph, config, s, min(s + chunk, indices.stop))
             for s in range(indices.start, indices.stop, chunk)
         ]
-        parts = _map_jobs(_null_objective_chunk, jobs, workers)
+        parts = _map_jobs(_null_objectives, jobs, workers)
         return [v for part in parts for v in part]
-    return [_null_objective((graph, config, i)) for i in indices]
+    return _null_objectives(graph, config, indices.start, indices.stop)
 
 
 def permutation_test(
@@ -172,16 +206,14 @@ def permutation_test(
     )
 
 
-def _calibration_trial(args: tuple[ProjectGraph, NullModelConfig, int]) -> float:
-    graph, config, trial = args
-    base = trial * (config.n_samples + 1)
-    observed = _null_objective((graph, config, base))
-    nulls = [
-        _null_objective((graph, config, base + 1 + i))
-        for i in range(config.n_samples)
-    ]
+def _calibration_trial(
+    graph: ProjectGraph, config: NullModelConfig, trial: int
+) -> float:
+    n = config.n_samples
+    base = trial * (n + 1)
+    observed, *nulls = _null_objectives(graph, config, base, base + n + 1)
     below = sum(1 for v in nulls if v <= observed)
-    return (1 + below) / (config.n_samples + 1)
+    return (1 + below) / (n + 1)
 
 
 def calibrate_pvalues(
@@ -193,6 +225,7 @@ def calibrate_pvalues(
     {1/(n+1), ..., 1}; each trial consumes its own block of sample indices
     so trials are independent.
     """
+    config.validate()
     if trials < 1:
         raise ValueError("trials must be at least 1")
     jobs = [(graph, config, j) for j in range(trials)]

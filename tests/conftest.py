@@ -1,13 +1,20 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from busfactor.errors import DegenerateError
 from busfactor.generators import make_rng
 from busfactor.graph import ProjectGraph
-from busfactor.optimize import AnnealingConfig, AnnealingTrace, TraceRow
+from busfactor.optimize import (
+    AnnealingConfig,
+    AnnealingTrace,
+    NullModelConfig,
+    TraceRow,
+)
 from busfactor.robustness import (
     _area_numerator,
     _normalization,
@@ -64,6 +71,17 @@ def random_bipartite(
             if graph.degree_of_task(t) == 0:
                 graph.add_edge(int(rng.integers(n_p)), t)
     return graph
+
+
+@st.composite
+def sparse_graphs(draw) -> ProjectGraph:
+    """Sparse non-contiguous ids declared in any order, isolated nodes on
+    both sides allowed."""
+    people = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
+    tasks = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
+    pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks))
+    edges = draw(st.sets(pairs, max_size=30)) if people and tasks else set()
+    return ProjectGraph(people=people, tasks=tasks, edges=sorted(edges))
 
 
 # -- brute-force oracles, kept independent of the library's algorithms --------
@@ -209,3 +227,57 @@ def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
         t = tasks[int(rng.integers(len(tasks)))]
         if not graph.has_edge(person, t):
             return t
+
+
+# -- reference null sampler: swaps (person, task) tuples through a set ----------
+
+
+class SwapResult(NamedTuple):
+    """The reference's result: the rewired graph itself."""
+
+    graph: ProjectGraph
+    attempts: int
+    swaps: int
+
+
+def null_sample_reference(
+    graph: ProjectGraph, config: NullModelConfig, sample_index: int = 0
+) -> SwapResult:
+    """Degree-preserving random rewiring, deterministic per (seed, index).
+
+    Attempts ``swaps_per_edge * n_edges`` double-edge swaps: two edges
+    (p1,t1), (p2,t2) are crossed to (p1,t2), (p2,t1) when all four nodes are
+    distinct and neither crossed edge exists.
+    """
+    config.validate()
+    if graph.n_edges < 2:
+        return SwapResult(graph=graph.copy(), attempts=0, swaps=0)
+    rng = make_rng(config.seed, sample_index)
+    edges = list(graph.edges())
+    edge_set = set(edges)
+    m = len(edges)
+    attempts = config.swaps_per_edge * m
+    draws = rng.integers(0, m, size=2 * attempts).tolist()
+    swaps = 0
+    for k in range(attempts):
+        i, j = draws[2 * k], draws[2 * k + 1]
+        if i == j:
+            continue
+        p1, t1 = edges[i]
+        p2, t2 = edges[j]
+        if p1 == p2 or t1 == t2:
+            continue
+        new_a, new_b = (p1, t2), (p2, t1)
+        if new_a in edge_set or new_b in edge_set:
+            continue
+        edge_set.remove((p1, t1))
+        edge_set.remove((p2, t2))
+        edge_set.add(new_a)
+        edge_set.add(new_b)
+        edges[i] = new_a
+        edges[j] = new_b
+        swaps += 1
+    sampled = ProjectGraph(
+        people=graph.people, tasks=graph.tasks, edges=edges
+    )
+    return SwapResult(graph=sampled, attempts=attempts, swaps=swaps)

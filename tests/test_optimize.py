@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from busfactor import cli, generators, optimize
 from busfactor.errors import DegenerateError
 from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
@@ -13,12 +15,18 @@ from busfactor.optimize import (
     anneal,
     calibrate_pvalues,
     compare_decay,
+    null_objectives,
     null_sample,
     permutation_test,
 )
 from busfactor.robustness import bus_factor_greedy
 
-from conftest import anneal_reference, random_bipartite
+from conftest import (
+    anneal_reference,
+    null_sample_reference,
+    random_bipartite,
+    sparse_graphs,
+)
 
 
 def two_silo(seed_a=501, seed_b=502, people=30, tasks=40):
@@ -126,6 +134,95 @@ def test_calibration_pvalues_grid():
     grid = {k / 10 for k in range(1, 11)}
     assert set(pvalues) <= grid
     assert calibrate_pvalues(g, cfg, trials=20, workers=2) == pvalues
+
+
+def assert_matches_reference(graph, config, index):
+    got = null_sample(graph, config, index)
+    want = null_sample_reference(graph, config, index)
+    assert got.graph == want.graph
+    assert (got.attempts, got.swaps) == (want.attempts, want.swaps)
+    return got.swaps
+
+
+def test_null_sample_matches_reference_random():
+    rng = np.random.default_rng(91)
+    swapped = 0
+    for i in range(40):
+        g = random_bipartite(rng, 12, 12)
+        swapped += assert_matches_reference(
+            g, NullModelConfig(n_samples=1, swaps_per_edge=3, seed=i), i
+        ) > 0
+    assert swapped >= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+def test_null_sample_matches_reference_property(graph):
+    assert_matches_reference(graph, NullModelConfig(n_samples=1, swaps_per_edge=2), 5)
+
+
+def test_null_objectives_match_reference():
+    g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=12))
+    cfg = NullModelConfig(n_samples=1, seed=4)
+    want = [
+        bus_factor_greedy(null_sample_reference(g, cfg, i).graph).value
+        for i in range(3, 20)
+    ]
+    assert null_objectives(g, cfg, range(3, 20), workers=1) == want
+    assert null_objectives(g, cfg, range(3, 20), workers=2) == want
+
+
+def test_calibration_rejects_degenerate_graph():
+    with pytest.raises(DegenerateError):
+        calibrate_pvalues(
+            ProjectGraph(tasks=[1, 2]), NullModelConfig(n_samples=3), trials=2
+        )
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ``ProcessPoolExecutor`` with a stand-in that records each
+    ``max_workers`` and maps in this process, spawning nothing."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    for module in (optimize, generators, cli):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_calibration_validates_config_before_pool(pool_sizes, k22):
+    with pytest.raises(ValueError, match="swaps_per_edge"):
+        calibrate_pvalues(
+            k22, NullModelConfig(n_samples=3, swaps_per_edge=0), trials=3, workers=2
+        )
+    assert pool_sizes == []
+
+
+def test_pools_capped_at_job_count(pool_sizes):
+    g = generate_powerlaw(GeneratorConfig(n_people=10, n_tasks=12, seed=2))
+    cfg = NullModelConfig(n_samples=3, seed=1)
+    assert calibrate_pvalues(g, cfg, trials=3, workers=64) == calibrate_pvalues(
+        g, cfg, trials=3
+    )
+    generators.run_sweep(g, kind="densify", total_steps=2, stride=1, workers=64)
+    cli._anneal_restarts(g, SHORT_SA, restarts=2, workers=64)
+    # 3 trials; 3 sweep checkpoints (0, 1, 2 modifications); 2 restarts
+    assert pool_sizes == [3, 3, 2]
+    calibrate_pvalues(g, cfg, trials=1, workers=64)  # one job runs in process
+    assert pool_sizes == [3, 3, 2]
 
 
 # -- annealing ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from busfactor.robustness import (
     robustness,
 )
 
-from conftest import random_bipartite
+from conftest import random_bipartite, sparse_graphs
 
 
 def random_permutation(rng, graph):
@@ -53,14 +53,9 @@ def test_decay_matches_naive_random():
 
 @st.composite
 def graphs_with_orders(draw):
-    """Sparse non-contiguous ids declared in any order, isolated nodes on
-    both sides allowed, plus a removal order."""
-    people = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
-    tasks = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
-    pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks))
-    edges = draw(st.sets(pairs, max_size=30)) if people and tasks else set()
-    graph = ProjectGraph(people=people, tasks=tasks, edges=sorted(edges))
-    return graph, draw(st.permutations(people))
+    """A :func:`sparse_graphs` graph plus a removal order."""
+    graph = draw(sparse_graphs())
+    return graph, draw(st.permutations(list(graph.people)))
 
 
 @settings(max_examples=300, deadline=None)
