@@ -338,7 +338,6 @@ def _cmd_sweep(params: dict) -> int:
         stride=params["stride"],
         delta=params["delta"],
         seed=params["seed"],
-        workers=params["workers"],
     )
     manifest = _manifest("sweep", params, digest)
     write_text(params["output"], sweep_csv(table, manifest))

@@ -9,18 +9,21 @@ Two complementary quantities for a coverage threshold ``delta``:
 
 Greedy approximations handle real sizes; exhaustive oracles (guarded to
 small graphs) provide ground truth. Threshold comparisons use exact
-rational arithmetic so integral targets never drift to a neighboring count.
+rational arithmetic so integral targets never drift to a neighboring count;
+the greedies compare integer counts against the target's ceiling, ``need``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateError, InfeasibleError
-from .graph import PersonId, ProjectGraph, degree_order, require_nondegenerate
+from .graph import PersonId, ProjectGraph, degree_slots, require_nondegenerate
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets
 
@@ -47,6 +50,46 @@ def _coverage_target(graph: ProjectGraph, delta: DeltaLike) -> Fraction:
     return normalize_delta(delta) * graph.n_tasks
 
 
+def greedy_keep(held: Sequence[Collection[int]], need: int) -> list[int]:
+    """Slots :func:`mrs_greedy` keeps to cover ``need`` of the task indices
+    in ``held`` (``need`` must be reachable)."""
+    covered: set[int] = set()
+    keep = []
+    # Lazy greedy: gains only shrink as coverage grows, so a popped entry
+    # whose recount is unchanged is the true maximum.
+    heap = [(-len(own), k) for k, own in enumerate(held)]
+    heapq.heapify(heap)
+    while len(covered) < need:
+        neg_gain, k = heapq.heappop(heap)
+        gain = len(held[k]) - len(covered.intersection(held[k]))
+        if gain != -neg_gain:
+            heapq.heappush(heap, (-gain, k))
+            continue
+        keep.append(k)
+        covered.update(held[k])
+    return keep
+
+
+def greedy_critical(
+    held: Sequence[Collection[int]],
+    order: Sequence[int],
+    task_degree: list[int],
+    need: int,
+) -> int:
+    """How many slots of ``order`` :func:`mcs_greedy` removes: up to the
+    first loss of coverage below ``need`` tasks, else all of them."""
+    live = list(task_degree)
+    covered = len(live) - live.count(0)
+    for removed, k in enumerate(order):
+        if covered < need:
+            return removed
+        for t in held[k]:
+            live[t] -= 1
+            if live[t] == 0:
+                covered -= 1
+    return len(order)
+
+
 def mrs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
     """Approximate maximum redundant set.
 
@@ -60,21 +103,9 @@ def mrs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
             f"coverage target {float(target):g} tasks unreachable: "
             f"only {graph.covered_task_count()} of {graph.n_tasks} tasks covered"
         )
-    covered: set[int] = set()
-    keep: set[PersonId] = set()
-    # Lazy greedy: gains only shrink as coverage grows, so a popped entry
-    # whose recount is unchanged is the true maximum.
-    heap = [(-graph.degree_of_person(p), p) for p in graph.people]
-    heapq.heapify(heap)
-    while len(covered) < target:
-        neg_gain, p = heapq.heappop(heap)
-        gain = len(graph.tasks_of(p) - covered)
-        if gain != -neg_gain:
-            heapq.heappush(heap, (-gain, p))
-            continue
-        keep.add(p)
-        covered |= graph.tasks_of(p)
-    return set(graph.people) - keep
+    people, _, adjacency = graph.freeze()
+    keep = greedy_keep(adjacency, math.ceil(target))
+    return set(people).difference(people[k] for k in keep)
 
 
 def mcs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
@@ -86,19 +117,11 @@ def mcs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
     one-shot order equals per-step recomputation.
     """
     target = _coverage_target(graph, delta)
-    order = degree_order(graph)
-    live = graph.task_degrees()
-    covered = graph.covered_task_count()
-    removed: set[PersonId] = set()
-    for p in order:
-        if covered < target:
-            break
-        for t in graph.tasks_of(p):
-            live[t] -= 1
-            if live[t] == 0:
-                covered -= 1
-        removed.add(p)
-    return removed
+    people, tasks, adjacency = graph.freeze()
+    order = degree_slots(adjacency)
+    task_degree = [graph.degree_of_task(t) for t in tasks]
+    removed = greedy_critical(adjacency, order, task_degree, math.ceil(target))
+    return {people[k] for k in order[:removed]}
 
 
 def _guard(graph: ProjectGraph) -> None:

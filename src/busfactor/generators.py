@@ -8,24 +8,27 @@ deterministic for a given seed.
 
 Perturbations mimic managerial actions: densify/sparsify shift workload
 density edge by edge, singletons hire one-task specialists, duplicates
-clone existing contributors starting from the busiest. ``run_sweep``
-replays a perturbation and records the coverage and robustness measures at
-fixed checkpoints.
+clone existing contributors starting from the busiest. All four modify
+one dense state, built once from the graph's frozen view, in place.
+``run_sweep`` measures that state at fixed checkpoints as it reaches them
+and keeps no snapshot graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .coverage import DeltaLike, mcs_greedy, mrs_greedy, normalize_delta
-from .errors import InfeasibleError
-from .graph import ProjectGraph, degree_order
-from .robustness import bus_factor_greedy
+from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
+from .errors import DegenerateError
+from .graph import ProjectGraph, degree_slots, require_nondegenerate, thaw
+from .robustness import _normalization, insertion_area
 
 logger = logging.getLogger(__name__)
 
@@ -155,26 +158,140 @@ def disjoint_union(first: ProjectGraph, second: ProjectGraph) -> ProjectGraph:
     return merged
 
 
-# -- single-shot perturbations -------------------------------------------------
+# -- the perturbation engine ----------------------------------------------------
+
+
+class _Perturbation:
+    """A graph in dense form, modified in place: people at slots in id
+    order, ``held[k]`` the task indices of slot ``k``, the task degrees and
+    the covered-task count. A new person takes the fresh id ``max + 1`` and
+    the next slot, which keeps the slots in id order."""
+
+    def __init__(self, graph: ProjectGraph):
+        people, self.tasks, adjacency = graph.freeze()
+        self.people = list(people)
+        self.held = [set(own) for own in adjacency]
+        self.task_degree = [0] * len(self.tasks)
+        for t in itertools.chain(*adjacency):
+            self.task_degree[t] += 1
+        self.covered = len(self.tasks) - self.task_degree.count(0)
+
+    def add_edge(self, k: int, t: int) -> None:
+        self.held[k].add(t)
+        if self.task_degree[t] == 0:
+            self.covered += 1
+        self.task_degree[t] += 1
+
+    def remove_edge(self, k: int, t: int) -> None:
+        self.held[k].remove(t)
+        self.task_degree[t] -= 1
+        if self.task_degree[t] == 0:
+            self.covered -= 1
+
+    def add_person(self, tasks: Iterable[int]) -> None:
+        self.people.append(self.people[-1] + 1 if self.people else 0)
+        self.held.append(set())
+        for t in tasks:
+            self.add_edge(len(self.held) - 1, t)
+
+
+def _edge_additions(state: _Perturbation, rng: np.random.Generator) -> Iterator[None]:
+    """Adds one uniformly random absent pair per item; some must be left."""
+    held, n_tasks = state.held, len(state.tasks)
+    while True:
+        for _ in range(200):
+            k = int(rng.integers(len(held)))
+            t = int(rng.integers(n_tasks))
+            if t not in held[k]:
+                break
+        else:
+            # near saturation: the absent pair of uniform rank in canonical
+            # order, located by the per-slot counts of absent tasks
+            rank = int(rng.integers(sum(n_tasks - len(own) for own in held)))
+            for k, own in enumerate(held):
+                if rank < n_tasks - len(own):
+                    break
+                rank -= n_tasks - len(own)
+            t = [t for t in range(n_tasks) if t not in own][rank]
+        state.add_edge(k, t)
+        yield
+
+
+def _edge_removals(state: _Perturbation, rng: np.random.Generator) -> Iterator[None]:
+    """Removes one uniformly random edge per item; some must be left."""
+    edges = [(k, t) for k, own in enumerate(state.held) for t in sorted(own)]
+    while True:
+        i = int(rng.integers(len(edges)))
+        k, t = edges[i]
+        edges[i] = edges[-1]
+        edges.pop()
+        state.remove_edge(k, t)
+        yield
+
+
+def _perturbation(
+    graph: ProjectGraph, kind: str, total_steps: int, seed: int
+) -> tuple[_Perturbation, Iterator[None], int, list[str]]:
+    """The dense state of ``graph``, an iterator each item of which applies
+    one modification of ``kind`` to it, how many of ``total_steps`` the
+    graph has material for, and notes on the run."""
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    if kind == "singletons" and total_steps > graph.n_tasks:
+        raise ValueError(
+            f"cannot add {total_steps} singletons: only {graph.n_tasks} tasks "
+            "(at most one specialist per task)"
+        )
+    state = _Perturbation(graph)
+    notes = []
+    available = total_steps
+    if kind == "densify":
+        modifications = _edge_additions(state, make_rng(seed))
+        available = graph.n_people * graph.n_tasks - graph.n_edges
+    elif kind == "sparsify":
+        modifications = _edge_removals(state, make_rng(seed))
+        available = graph.n_edges
+    elif kind == "singletons":
+        picks = make_rng(seed).choice(graph.n_tasks, size=total_steps, replace=False)
+        modifications = (state.add_person((t,)) for t in picks.tolist())
+    else:
+        order = degree_slots(state.held)
+        if total_steps > len(order):
+            if not order:
+                raise DegenerateError("graph has no people")
+            notes.append(
+                f"cloning {total_steps} people wraps around the {len(order)} available"
+            )
+        clones = itertools.cycle(order)
+        modifications = (state.add_person(state.held[k]) for k in clones)
+    if total_steps > available:
+        notes.append(f"no further edges to modify after {available} steps")
+    return state, modifications, min(total_steps, available), notes
+
+
+def _checkpoints(
+    modifications: Iterator[None], steps: int, stride: int
+) -> Iterator[int]:
+    """Apply ``steps`` modifications, yielding the count done before the
+    first, after every ``stride``-th and after the last."""
+    yield 0
+    for done, _ in enumerate(itertools.islice(modifications, steps), 1):
+        if done % stride == 0 or done == steps:
+            yield done
+
+
+def _perturbed(graph: ProjectGraph, kind: str, count: int, seed: int) -> ProjectGraph:
+    state, modifications, _, notes = _perturbation(graph, kind, count, seed)
+    for note in notes:
+        logger.warning(note)
+    for _ in itertools.islice(modifications, count):
+        pass
+    return thaw(state.people, state.tasks, state.held)
 
 
 def add_singletons(graph: ProjectGraph, count: int, seed: int = 0) -> ProjectGraph:
     """Hire ``count`` one-task specialists on distinct uniformly-drawn tasks."""
-    if count > graph.n_tasks:
-        raise ValueError(
-            f"cannot add {count} singletons: only {graph.n_tasks} tasks "
-            "(at most one specialist per task)"
-        )
-    out = graph.copy()
-    if count == 0:
-        return out
-    rng = make_rng(seed)
-    tasks = rng.choice(np.array(sorted(graph.tasks)), size=count, replace=False)
-    for t in tasks:
-        p = out.fresh_person_id()
-        out.add_person(p)
-        out.add_edge(p, int(t))
-    return out
+    return _perturbed(graph, "singletons", count, seed)
 
 
 def add_duplicates(graph: ProjectGraph, count: int) -> ProjectGraph:
@@ -183,21 +300,7 @@ def add_duplicates(graph: ProjectGraph, count: int) -> ProjectGraph:
     Cloning is deterministic (no randomness to seed): the order is fixed by
     the original degrees.
     """
-    out = graph.copy()
-    order = degree_order(graph)
-    if count > len(order):
-        logger.warning(
-            "cloning %d people wraps around the %d available; "
-            "top people are cloned more than once",
-            count,
-            len(order),
-        )
-    for i in range(count):
-        out.clone_person(order[i % len(order)])
-    return out
-
-
-# -- checkpointed perturbation series ------------------------------------------
+    return _perturbed(graph, "duplicates", count, 0)
 
 
 @dataclass
@@ -209,64 +312,12 @@ class CheckpointSeries:
     truncated: bool = False
 
 
-class _EdgeAdder:
-    """Streams uniformly random absent person-task pairs into a graph."""
-
-    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
-        self.graph = graph
-        self.rng = rng
-        self.people = sorted(graph.people)
-        self.tasks = sorted(graph.tasks)
-
-    def saturated(self) -> bool:
-        return self.graph.n_edges >= len(self.people) * len(self.tasks)
-
-    def step(self) -> bool:
-        if self.saturated():
-            return False
-        # rejection sampling; falls back to enumeration near saturation
-        for _ in range(200):
-            p = self.people[int(self.rng.integers(len(self.people)))]
-            t = self.tasks[int(self.rng.integers(len(self.tasks)))]
-            if not self.graph.has_edge(p, t):
-                self.graph.add_edge(p, t)
-                return True
-        absent = [
-            (p, t)
-            for p in self.people
-            for t in self.tasks
-            if not self.graph.has_edge(p, t)
-        ]
-        p, t = absent[int(self.rng.integers(len(absent)))]
-        self.graph.add_edge(p, t)
-        return True
-
-
-class _EdgeRemover:
-    """Removes uniformly random existing edges from a graph."""
-
-    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
-        self.graph = graph
-        self.rng = rng
-        self.edges = list(graph.edges())
-
-    def step(self) -> bool:
-        if not self.edges:
-            return False
-        i = int(self.rng.integers(len(self.edges)))
-        p, t = self.edges[i]
-        self.edges[i] = self.edges[-1]
-        self.edges.pop()
-        self.graph.remove_edge(p, t)
-        return True
-
-
 def densify(
     graph: ProjectGraph, batch_size: int, n_batches: int, seed: int = 0
 ) -> CheckpointSeries:
     """Add ``batch_size`` random absent edges per batch, snapshotting after
     each; truncates with a flag when the graph saturates."""
-    return _edge_series(graph, batch_size, n_batches, seed, adding=True)
+    return _series(graph, "densify", batch_size, n_batches, seed)
 
 
 def sparsify(
@@ -274,32 +325,21 @@ def sparsify(
 ) -> CheckpointSeries:
     """Remove ``batch_size`` random edges per batch, snapshotting after each;
     truncates with a flag when no edges remain."""
-    return _edge_series(graph, batch_size, n_batches, seed, adding=False)
+    return _series(graph, "sparsify", batch_size, n_batches, seed)
 
 
-def _edge_series(
-    graph: ProjectGraph, batch_size: int, n_batches: int, seed: int, adding: bool
+def _series(
+    graph: ProjectGraph, kind: str, batch_size: int, n_batches: int, seed: int
 ) -> CheckpointSeries:
     if batch_size < 1 or n_batches < 1:
         raise ValueError("batch_size and n_batches must be at least 1")
-    working = graph.copy()
-    rng = make_rng(seed)
-    stepper = _EdgeAdder(working, rng) if adding else _EdgeRemover(working, rng)
-    series = CheckpointSeries(graphs=[], modifications=[])
-    done = 0
-    for _ in range(n_batches):
-        progressed = 0
-        for _ in range(batch_size):
-            if not stepper.step():
-                series.truncated = True
-                break
-            progressed += 1
-        done += progressed
-        if progressed:
-            series.graphs.append(working.copy())
+    total = batch_size * n_batches
+    state, modifications, steps, _ = _perturbation(graph, kind, total, seed)
+    series = CheckpointSeries(graphs=[], modifications=[], truncated=steps < total)
+    for done in _checkpoints(modifications, steps, batch_size):
+        if done:
+            series.graphs.append(thaw(state.people, state.tasks, state.held))
             series.modifications.append(done)
-        if series.truncated:
-            break
     return series
 
 
@@ -325,85 +365,6 @@ class SweepTable:
     notes: list[str] = field(default_factory=list)
 
 
-def _measure(graph: ProjectGraph, delta: Fraction) -> tuple[int, int, float] | None:
-    try:
-        mrs = len(mrs_greedy(graph, delta))
-    except InfeasibleError:
-        return None
-    mcs = len(mcs_greedy(graph, delta))
-    value = bus_factor_greedy(graph).value
-    return mrs, mcs, value
-
-
-def _measure_job(args: tuple[ProjectGraph, Fraction]) -> tuple[int, int, float] | None:
-    return _measure(*args)
-
-
-def _checkpoint_graphs(
-    graph: ProjectGraph, kind: str, total_steps: int, stride: int, seed: int
-) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
-    """Materialize (modification count, snapshot) pairs, baseline included."""
-    notes: list[str] = []
-    snapshots: list[tuple[int, ProjectGraph]] = [(0, graph.copy())]
-    truncated = False
-
-    if kind in ("densify", "sparsify"):
-        working = graph.copy()
-        rng = make_rng(seed)
-        stepper = (
-            _EdgeAdder(working, rng) if kind == "densify" else _EdgeRemover(working, rng)
-        )
-        done = 0
-        while done < total_steps:
-            if not stepper.step():
-                truncated = True
-                notes.append(f"no further edges to modify after {done} steps")
-                break
-            done += 1
-            if done % stride == 0 or done == total_steps:
-                snapshots.append((done, working.copy()))
-        if truncated and done and snapshots[-1][0] != done:
-            snapshots.append((done, working.copy()))
-    elif kind == "singletons":
-        if total_steps > graph.n_tasks:
-            raise ValueError(
-                f"cannot add {total_steps} singletons: only {graph.n_tasks} tasks"
-            )
-        rng = make_rng(seed)
-        tasks = rng.choice(
-            np.array(sorted(graph.tasks)), size=total_steps, replace=False
-        )
-        working = graph.copy()
-        for i, t in enumerate(tasks, start=1):
-            p = working.fresh_person_id()
-            working.add_person(p)
-            working.add_edge(p, int(t))
-            if i % stride == 0 or i == total_steps:
-                snapshots.append((i, working.copy()))
-    elif kind == "duplicates":
-        order = degree_order(graph)
-        if total_steps > len(order):
-            notes.append(
-                f"cloning {total_steps} people wraps around the {len(order)} available"
-            )
-        working = graph.copy()
-        for i in range(1, total_steps + 1):
-            working.clone_person(order[(i - 1) % len(order)])
-            if i % stride == 0 or i == total_steps:
-                snapshots.append((i, working.copy()))
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-
-    # avoid a duplicate row when total_steps is a multiple of stride
-    deduped = []
-    seen = set()
-    for mods, g in snapshots:
-        if mods not in seen:
-            seen.add(mods)
-            deduped.append((mods, g))
-    return deduped, truncated, notes
-
-
 def run_sweep(
     graph: ProjectGraph,
     kind: str,
@@ -411,40 +372,35 @@ def run_sweep(
     stride: int = 100,
     delta: DeltaLike = Fraction(1, 2),
     seed: int = 0,
-    workers: int = 1,
 ) -> SweepTable:
     """Perturb ``graph`` step by step and measure MRS/MCS/robustness at every
-    ``stride`` modifications (plus the unmodified baseline).
+    ``stride`` modifications, plus the unmodified baseline and the last step.
 
-    Stops early, flagging truncation, when the perturbation runs out of
-    material or the coverage target becomes unreachable; rows are identical
-    for any ``workers`` count.
+    Each checkpoint is measured on the dense state as it is reached, by the
+    kernels behind :func:`mrs_greedy`, :func:`mcs_greedy` and
+    :func:`bus_factor_greedy`. Stops early, flagging truncation, when the
+    perturbation runs out of material or the coverage target becomes
+    unreachable.
     """
     d = normalize_delta(delta)
     if total_steps < 1 or stride < 1:
         raise ValueError("total_steps and stride must be at least 1")
-    snapshots, truncated, notes = _checkpoint_graphs(
-        graph, kind, total_steps, stride, seed
-    )
-    table = SweepTable(kind=kind, delta=d, truncated=truncated, notes=notes)
-
-    jobs = [(g, d) for _, g in snapshots]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_measure_job, jobs, chunksize=4))
-    else:
-        results = [_measure(g, d) for g, d in jobs]
-
-    for (mods, _), result in zip(snapshots, results):
-        if result is None:
+    state, modifications, steps, notes = _perturbation(graph, kind, total_steps, seed)
+    require_nondegenerate(graph)
+    table = SweepTable(kind=kind, delta=d, truncated=steps < total_steps, notes=notes)
+    held, n_tasks = state.held, len(state.tasks)
+    need = math.ceil(d * n_tasks)
+    for mods in _checkpoints(modifications, steps, stride):
+        if state.covered < need:
             table.truncated = True
             table.notes.append(
                 f"coverage target unreachable from {mods} modifications on"
             )
             break
-        mrs, mcs, value = result
-        table.rows.append(
-            SweepRow(modifications=mods, mrs_size=mrs, mcs_size=mcs, robustness=value)
-        )
+        order = degree_slots(held)
+        mrs = len(held) - len(greedy_keep(held, need))
+        mcs = greedy_critical(held, order, state.task_degree, need)
+        area = insertion_area(n_tasks, [held[k] for k in reversed(order)])
+        value = area / _normalization(len(held), n_tasks)
+        table.rows.append(SweepRow(mods, mrs, mcs, value))
     return table

@@ -8,7 +8,7 @@ on its own :meth:`ProjectGraph.copy`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence, Sized
 from typing import NamedTuple
 
 from .errors import DegenerateError
@@ -278,10 +278,25 @@ class ProjectGraph:
             raise ValueError(f"unknown task {task}")
 
 
+def degree_slots(held: Sequence[Sized]) -> list[int]:
+    """Slots by decreasing ``len(held[k])``, ties to the smallest slot (the
+    sort is stable); with slots in id order, :func:`degree_order`."""
+    return sorted(range(len(held)), key=lambda k: -len(held[k]))
+
+
 def degree_order(graph: ProjectGraph) -> list[PersonId]:
     """People by decreasing degree, ties to the smallest id."""
-    degrees = graph.person_degrees()
-    return sorted(degrees, key=lambda p: (-degrees[p], p))
+    people = sorted(graph.people)
+    return [people[k] for k in degree_slots([graph._people[p] for p in people])]
+
+
+def thaw(
+    people: Sequence[PersonId], tasks: Sequence[TaskId], held: Iterable[Iterable[int]]
+) -> ProjectGraph:
+    """The graph in which ``people[k]`` does ``tasks[t]`` for each ``t`` in
+    ``held[k]``: the inverse of :meth:`ProjectGraph.freeze`."""
+    edges = ((people[k], tasks[t]) for k, own in enumerate(held) for t in own)
+    return ProjectGraph(people=people, tasks=tasks, edges=edges)
 
 
 def require_nondegenerate(graph: ProjectGraph) -> None:

@@ -19,17 +19,19 @@ from functools import cached_property
 from .errors import DegenerateError
 from .generators import make_rng
 from .graph import (
+    FrozenGraph,
     PersonId,
     ProjectGraph,
     TaskId,
-    degree_order,
+    degree_slots,
     require_nondegenerate,
+    thaw,
 )
 from .robustness import (
     DecayCurve,
     bus_factor_greedy,
     greedy_order,
-    insertion_maxima,
+    insertion_area,
     _normalization,
 )
 
@@ -62,13 +64,14 @@ class SwapResult:
 
     @cached_property
     def graph(self) -> ProjectGraph:
-        people, tasks = self.people, self.tasks
-        edges = ((people[k], tasks[t]) for k, own in enumerate(self.held) for t in own)
-        return ProjectGraph(people=people, tasks=tasks, edges=edges)
+        return thaw(self.people, self.tasks, self.held)
 
 
 def null_sample(
-    graph: ProjectGraph, config: NullModelConfig, sample_index: int = 0
+    graph: ProjectGraph,
+    config: NullModelConfig,
+    sample_index: int = 0,
+    frozen: FrozenGraph | None = None,
 ) -> SwapResult:
     """Degree-preserving random rewiring, deterministic per (seed, index).
 
@@ -81,9 +84,10 @@ def null_sample(
     person slot ``owner[i]`` for good (a swap exchanges tasks only) and
     holds task index ``task[i]``; the per-person task sets ``held`` answer
     the crossed-edge checks. No graph is built unless ``.graph`` is read.
+    ``frozen`` is ``graph.freeze()``, for callers that draw many samples.
     """
     config.validate()
-    people, tasks, adjacency = graph.freeze()
+    people, tasks, adjacency = graph.freeze() if frozen is None else frozen
     held = tuple(set(own) for own in adjacency)
     m = graph.n_edges
     if m < 2:
@@ -142,21 +146,20 @@ def _null_objectives(
     """Greedy robustness of the null samples ``start .. stop - 1``.
 
     A sample keeps every person's degree, so the greedy order of ``graph``
-    is every sample's greedy order: it is worked out once, and each sample
-    is scored by one :func:`insertion_maxima` pass over its ``held`` sets,
-    giving the same integer area and normalization as
-    :func:`bus_factor_greedy`.
+    is every sample's greedy order: it is worked out once, with the dense
+    view every sample is drawn from, and each sample is scored by one
+    :func:`insertion_area` pass over its ``held`` sets, giving the same
+    integer area and normalization as :func:`bus_factor_greedy`.
     """
     require_nondegenerate(graph)
-    slot = {p: k for k, p in enumerate(sorted(graph.people))}
-    reinsertion = [slot[p] for p in reversed(degree_order(graph))]
+    frozen = graph.freeze()
+    reinsertion = degree_slots(frozen.adjacency)[::-1]
     n_tasks = graph.n_tasks
-    denom = _normalization(graph)
+    denom = _normalization(graph.n_people, n_tasks)
     values = []
     for i in range(start, stop):
-        held = null_sample(graph, config, i).held
-        maxima = insertion_maxima(n_tasks, [held[k] for k in reinsertion])
-        values.append((2 * sum(maxima) - maxima[-1]) / denom)
+        held = null_sample(graph, config, i, frozen).held
+        values.append(insertion_area(n_tasks, [held[k] for k in reinsertion]) / denom)
     return values
 
 
@@ -277,7 +280,7 @@ def anneal(
 
     The chain runs on dense indices: people sit at fixed slots in
     reinsertion order (the greedy order reversed), so each candidate is
-    scored by one :func:`insertion_maxima` pass over the slots, and a
+    scored by one :func:`insertion_area` pass over the slots, and a
     graph is built once, from the best edge list, at the end.
     """
     config.validate()
@@ -304,14 +307,9 @@ def anneal(
     ):
         return graph.copy(), AnnealingTrace()
 
-    def area() -> int:
-        # trapezoid sum of the curve, which is the maxima reversed then 0
-        maxima = insertion_maxima(n_tasks, held)
-        return 2 * sum(maxima) - maxima[-1]
-
     rng = make_rng(config.seed)
-    denom = _normalization(graph)
-    current_area = best_area = area()
+    denom = _normalization(len(people), n_tasks)
+    current_area = best_area = insertion_area(n_tasks, held)
     best_edges = list(edges)
     trace = AnnealingTrace()
 
@@ -332,7 +330,7 @@ def anneal(
                 t_new = int(rng.integers(n_tasks))
             own.remove(t)
             own.add(t_new)
-            candidate_area = area()
+            candidate_area = insertion_area(n_tasks, held)
             delta = (candidate_area - current_area) / denom
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
                 current_area = candidate_area

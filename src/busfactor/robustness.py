@@ -77,6 +77,13 @@ def insertion_maxima(
     return maxima
 
 
+def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
+    """Integer trapezoid area of the decay curve of ``reinserted`` (its
+    :func:`insertion_maxima` reversed, then 0): twice their sum less the last."""
+    maxima = insertion_maxima(n_tasks, reinserted)
+    return 2 * sum(maxima) - maxima[-1]
+
+
 def _validate_sequence(graph: ProjectGraph, order: RemovalSequence) -> list[PersonId]:
     order = list(order)
     if len(order) != graph.n_people or set(order) != set(graph.people):
@@ -116,8 +123,8 @@ def _area_numerator(curve: DecayCurve) -> int:
     return sum(values[i - 1] + values[i] for i in range(1, len(values)))
 
 
-def _normalization(graph: ProjectGraph) -> int:
-    return graph.n_tasks * (2 * graph.n_people - 1)
+def _normalization(n_people: int, n_tasks: int) -> int:
+    return n_tasks * (2 * n_people - 1)
 
 
 def robustness(graph: ProjectGraph, order: RemovalSequence) -> float:
@@ -130,7 +137,7 @@ def robustness(graph: ProjectGraph, order: RemovalSequence) -> float:
     """
     require_nondegenerate(graph)
     curve = decay_curve(graph, order)
-    return _area_numerator(curve) / _normalization(graph)
+    return _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
 
 
 def greedy_order(graph: ProjectGraph, adaptive: bool = False) -> list[PersonId]:
@@ -163,7 +170,7 @@ def bus_factor_greedy(
     require_nondegenerate(graph)
     order = greedy_order(graph, adaptive=adaptive)
     curve = decay_curve(graph, order)
-    value = _area_numerator(curve) / _normalization(graph)
+    value = _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
     return RobustnessResult(value=value, sequence=tuple(order), curve=curve)
 
 
@@ -189,7 +196,7 @@ def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:
             best = (order, curve)
     assert best is not None and best_area is not None
     return RobustnessResult(
-        value=best_area / _normalization(graph),
+        value=best_area / _normalization(graph.n_people, graph.n_tasks),
         sequence=best[0],
         curve=best[1],
     )

@@ -1,14 +1,17 @@
+import heapq
 import itertools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from busfactor.errors import DegenerateError
-from busfactor.generators import make_rng
-from busfactor.graph import ProjectGraph
+from busfactor.coverage import _coverage_target, normalize_delta
+from busfactor.errors import DegenerateError, InfeasibleError
+from busfactor.generators import SWEEP_KINDS, SweepRow, SweepTable, make_rng
+from busfactor.graph import ProjectGraph, degree_order
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -18,6 +21,7 @@ from busfactor.optimize import (
 from busfactor.robustness import (
     _area_numerator,
     _normalization,
+    bus_factor_greedy,
     decay_curve,
     greedy_order,
 )
@@ -170,7 +174,7 @@ def anneal_reference(
     rng = make_rng(config.seed)
     working = graph.copy()
     order = greedy_order(working)  # person degrees never change below
-    denom = _normalization(working)
+    denom = _normalization(working.n_people, working.n_tasks)
 
     def objective_area(g: ProjectGraph) -> int:
         return _area_numerator(decay_curve(g, order))
@@ -281,3 +285,216 @@ def null_sample_reference(
         people=graph.people, tasks=graph.tasks, edges=edges
     )
     return SwapResult(graph=sampled, attempts=attempts, swaps=swaps)
+
+
+# -- reference greedies: set-based, over ProjectGraph accessors -----------------
+
+
+def mrs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
+    """Lazy greedy keep-set grown against the rational target; everyone
+    else is redundant."""
+    target = _coverage_target(graph, delta)
+    if graph.covered_task_count() < target:
+        raise InfeasibleError(
+            f"coverage target {float(target):g} tasks unreachable: "
+            f"only {graph.covered_task_count()} of {graph.n_tasks} tasks covered"
+        )
+    covered: set[int] = set()
+    keep: set[int] = set()
+    heap = [(-graph.degree_of_person(p), p) for p in graph.people]
+    heapq.heapify(heap)
+    while len(covered) < target:
+        neg_gain, p = heapq.heappop(heap)
+        gain = len(graph.tasks_of(p) - covered)
+        if gain != -neg_gain:
+            heapq.heappush(heap, (-gain, p))
+            continue
+        keep.add(p)
+        covered |= graph.tasks_of(p)
+    return set(graph.people) - keep
+
+
+def mcs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
+    """People removed in decreasing degree order, ties to the smallest id,
+    until coverage drops below the rational target."""
+    target = _coverage_target(graph, delta)
+    degrees = graph.person_degrees()
+    order = sorted(degrees, key=lambda p: (-degrees[p], p))
+    live = graph.task_degrees()
+    covered = graph.covered_task_count()
+    removed: set[int] = set()
+    for p in order:
+        if covered < target:
+            break
+        for t in graph.tasks_of(p):
+            live[t] -= 1
+            if live[t] == 0:
+                covered -= 1
+        removed.add(p)
+    return removed
+
+
+# -- reference sweep: perturbs graph copies, measures every held snapshot --------
+
+
+class _EdgeAdder:
+    """Streams uniformly random absent person-task pairs into a graph."""
+
+    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
+        self.graph = graph
+        self.rng = rng
+        self.people = sorted(graph.people)
+        self.tasks = sorted(graph.tasks)
+
+    def saturated(self) -> bool:
+        return self.graph.n_edges >= len(self.people) * len(self.tasks)
+
+    def step(self) -> bool:
+        if self.saturated():
+            return False
+        # rejection sampling; falls back to enumeration near saturation
+        for _ in range(200):
+            p = self.people[int(self.rng.integers(len(self.people)))]
+            t = self.tasks[int(self.rng.integers(len(self.tasks)))]
+            if not self.graph.has_edge(p, t):
+                self.graph.add_edge(p, t)
+                return True
+        absent = [
+            (p, t)
+            for p in self.people
+            for t in self.tasks
+            if not self.graph.has_edge(p, t)
+        ]
+        p, t = absent[int(self.rng.integers(len(absent)))]
+        self.graph.add_edge(p, t)
+        return True
+
+
+class _EdgeRemover:
+    """Removes uniformly random existing edges from a graph."""
+
+    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
+        self.graph = graph
+        self.rng = rng
+        self.edges = list(graph.edges())
+
+    def step(self) -> bool:
+        if not self.edges:
+            return False
+        i = int(self.rng.integers(len(self.edges)))
+        p, t = self.edges[i]
+        self.edges[i] = self.edges[-1]
+        self.edges.pop()
+        self.graph.remove_edge(p, t)
+        return True
+
+
+def _measure(graph: ProjectGraph, delta: Fraction) -> tuple[int, int, float] | None:
+    try:
+        mrs = len(mrs_greedy_reference(graph, delta))
+    except InfeasibleError:
+        return None
+    mcs = len(mcs_greedy_reference(graph, delta))
+    value = bus_factor_greedy(graph).value
+    return mrs, mcs, value
+
+
+def checkpoint_graphs_reference(
+    graph: ProjectGraph, kind: str, total_steps: int, stride: int, seed: int
+) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
+    """Materialize (modification count, snapshot) pairs, baseline included."""
+    notes: list[str] = []
+    snapshots: list[tuple[int, ProjectGraph]] = [(0, graph.copy())]
+    truncated = False
+
+    if kind in ("densify", "sparsify"):
+        working = graph.copy()
+        rng = make_rng(seed)
+        stepper = (
+            _EdgeAdder(working, rng) if kind == "densify" else _EdgeRemover(working, rng)
+        )
+        done = 0
+        while done < total_steps:
+            if not stepper.step():
+                truncated = True
+                notes.append(f"no further edges to modify after {done} steps")
+                break
+            done += 1
+            if done % stride == 0 or done == total_steps:
+                snapshots.append((done, working.copy()))
+        if truncated and done and snapshots[-1][0] != done:
+            snapshots.append((done, working.copy()))
+    elif kind == "singletons":
+        if total_steps > graph.n_tasks:
+            raise ValueError(
+                f"cannot add {total_steps} singletons: only {graph.n_tasks} tasks"
+            )
+        rng = make_rng(seed)
+        tasks = rng.choice(
+            np.array(sorted(graph.tasks)), size=total_steps, replace=False
+        )
+        working = graph.copy()
+        for i, t in enumerate(tasks, start=1):
+            p = working.fresh_person_id()
+            working.add_person(p)
+            working.add_edge(p, int(t))
+            if i % stride == 0 or i == total_steps:
+                snapshots.append((i, working.copy()))
+    elif kind == "duplicates":
+        order = degree_order(graph)
+        if total_steps > len(order):
+            notes.append(
+                f"cloning {total_steps} people wraps around the {len(order)} available"
+            )
+        working = graph.copy()
+        for i in range(1, total_steps + 1):
+            working.clone_person(order[(i - 1) % len(order)])
+            if i % stride == 0 or i == total_steps:
+                snapshots.append((i, working.copy()))
+    else:
+        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+
+    # avoid a duplicate row when total_steps is a multiple of stride
+    deduped = []
+    seen = set()
+    for mods, g in snapshots:
+        if mods not in seen:
+            seen.add(mods)
+            deduped.append((mods, g))
+    return deduped, truncated, notes
+
+
+def run_sweep_reference(
+    graph: ProjectGraph,
+    kind: str,
+    total_steps: int,
+    stride: int = 100,
+    delta=Fraction(1, 2),
+    seed: int = 0,
+) -> SweepTable:
+    """Perturb ``graph`` step by step and measure MRS/MCS/robustness at every
+    ``stride`` modifications (plus the unmodified baseline).
+
+    Stops early, flagging truncation, when the perturbation runs out of
+    material or the coverage target becomes unreachable.
+    """
+    d = normalize_delta(delta)
+    if total_steps < 1 or stride < 1:
+        raise ValueError("total_steps and stride must be at least 1")
+    snapshots, truncated, notes = checkpoint_graphs_reference(
+        graph, kind, total_steps, stride, seed
+    )
+    table = SweepTable(kind=kind, delta=d, truncated=truncated, notes=notes)
+    for mods, g in snapshots:
+        result = _measure(g, d)
+        if result is None:
+            table.truncated = True
+            table.notes.append(
+                f"coverage target unreachable from {mods} modifications on"
+            )
+            break
+        mrs, mcs, value = result
+        table.rows.append(
+            SweepRow(modifications=mods, mrs_size=mrs, mcs_size=mcs, robustness=value)
+        )
+    return table

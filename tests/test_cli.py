@@ -116,6 +116,15 @@ def test_sweep_truncation_comment(tmp_path, fixture_path):
     assert "# note:" in text
 
 
+@pytest.mark.parametrize("kind", ["densify", "sparsify", "singletons", "duplicates"])
+def test_sweep_without_people_is_infeasible(tmp_path, capsys, kind):
+    graph_path = tmp_path / "tasks_only.csv"
+    graph_path.write_text("person,task\n,t0\n,t1\n")
+    assert run("sweep", "--input", graph_path, "--kind", kind, "--steps", 2,
+               "--stride", 1, "--output", tmp_path / "sweep.csv") == 2
+    assert "graph has no people" in capsys.readouterr().err
+
+
 def test_nulltest_k22(tmp_path):
     graph_path = tmp_path / "k22.csv"
     save_edge_list(ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2)]), graph_path)

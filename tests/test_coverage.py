@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from busfactor.coverage import (
     coverage_report,
@@ -14,7 +15,14 @@ from busfactor.coverage import (
 from busfactor.errors import DegenerateError, InfeasibleError
 from busfactor.graph import ProjectGraph
 
-from conftest import mcs_bruteforce, mrs_bruteforce, random_bipartite
+from conftest import (
+    mcs_bruteforce,
+    mcs_greedy_reference,
+    mrs_bruteforce,
+    mrs_greedy_reference,
+    random_bipartite,
+    sparse_graphs,
+)
 
 
 def test_normalize_delta():
@@ -150,3 +158,22 @@ def test_determinism(four_edge_graph):
     assert coverage_report(four_edge_graph, 0.5) == coverage_report(
         four_edge_graph, 0.5
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sparse_graphs(),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+)
+def test_dense_greedies_match_set_based_references(graph, delta):
+    for greedy, reference in (
+        (mrs_greedy, mrs_greedy_reference),
+        (mcs_greedy, mcs_greedy_reference),
+    ):
+        try:
+            expected = reference(graph, delta)
+        except (DegenerateError, InfeasibleError) as exc:
+            with pytest.raises(type(exc)):
+                greedy(graph, delta)
+        else:
+            assert greedy(graph, delta) == expected

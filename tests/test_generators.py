@@ -1,9 +1,14 @@
 import hashlib
+import re
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from busfactor.errors import DegenerateError
 from busfactor.generators import (
+    SWEEP_KINDS,
     GeneratorConfig,
     add_duplicates,
     add_singletons,
@@ -16,6 +21,8 @@ from busfactor.generators import (
 from busfactor.graph import ProjectGraph, degree_order
 from busfactor.io import render_edge_list
 from busfactor.robustness import bus_factor_greedy
+
+from conftest import checkpoint_graphs_reference, random_bipartite, run_sweep_reference
 
 
 def test_generate_shape_and_determinism():
@@ -142,6 +149,9 @@ def test_add_duplicates(four_edge_graph):
     wrapped = add_duplicates(four_edge_graph, 5)  # wraps past both people
     assert wrapped.n_people == 7
 
+    with pytest.raises(DegenerateError, match="no people"):
+        add_duplicates(ProjectGraph(tasks=[1, 2]), 1)
+
 
 def test_duplication_order():
     g = ProjectGraph(edges=[(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -184,9 +194,6 @@ def test_run_sweep_rows_and_reproducibility(four_edge_graph):
     assert a.rows == b.rows
     assert [r.modifications for r in a.rows] == [0, 5, 10, 15, 20]
 
-    c = run_sweep(g, "densify", total_steps=20, stride=5, seed=6, workers=2)
-    assert c.rows == a.rows
-
 
 def test_run_sweep_kinds(four_edge_graph):
     g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=4))
@@ -204,3 +211,89 @@ def test_run_sweep_truncates_when_infeasible(four_edge_graph):
     assert any("unreachable" in n or "no further" in n for n in table.notes)
     mods = [r.modifications for r in table.rows]
     assert mods == sorted(set(mods))  # strictly increasing
+
+
+def test_run_sweep_matches_reference():
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for _ in range(40):
+        g = random_bipartite(rng, 7, 8)
+        for kind in SWEEP_KINDS:
+            if kind == "singletons":
+                steps = int(rng.integers(1, g.n_tasks + 1))
+            else:
+                steps = int(rng.integers(1, 2 * g.n_people * g.n_tasks + 2))
+            stride = int(rng.integers(1, steps + 1))
+            delta = Fraction(int(rng.integers(1, 11)), 10)
+            seed = int(rng.integers(1000))
+            got = run_sweep(g, kind, steps, stride, delta, seed)
+            want = run_sweep_reference(g, kind, steps, stride, delta, seed)
+            assert (got.rows, got.notes, got.truncated) == (
+                want.rows, want.notes, want.truncated
+            ), (kind, steps, stride, delta, seed)
+            seen[kind, "ragged stride"] += steps % stride != 0
+            exhausted = [n for n in got.notes if n.startswith("no further")]
+            unreachable = [n for n in got.notes if n.startswith("coverage target")]
+            if exhausted and unreachable:
+                seen[kind, "both truncations"] += 1
+                material = int(re.search(r"after (\d+)", exhausted[0]).group(1))
+                seen[kind, "unreachable before exhaustion"] += (
+                    int(re.search(r"from (\d+)", unreachable[0]).group(1)) < material
+                )
+            seen[kind, "saturated"] += kind == "densify" and bool(exhausted)
+    for kind in SWEEP_KINDS:
+        assert seen[kind, "ragged stride"] >= 5
+    assert seen["densify", "saturated"] >= 10
+    assert seen["sparsify", "both truncations"] >= 10
+    assert seen["sparsify", "unreachable before exhaustion"] >= 5
+    assert seen["densify", "both truncations"] >= 1
+
+
+def test_densify_and_sparsify_match_reference_snapshots():
+    # run to saturation or to no edges: with hundreds of pairs the adder's
+    # last steps miss 200 times in a row and take the rank-based fallback;
+    # the near-complete wide graphs leave several absent tasks per person
+    rng = np.random.default_rng(11)
+    graphs = [
+        generate_powerlaw(GeneratorConfig(*rng.integers(15, 26, size=2).tolist(), seed=s))
+        for s in range(6)
+    ]
+    for n_people in (1, 2):
+        pairs = [(p, t) for p in range(n_people) for t in range(400)]
+        keep = rng.random(len(pairs)) < 0.95
+        graphs.append(ProjectGraph(
+            people=range(n_people), tasks=range(400),
+            edges=[pair for pair, kept in zip(pairs, keep) if kept],
+        ))
+    for g in graphs:
+        for series_of, kind in ((densify, "densify"), (sparsify, "sparsify")):
+            material = g.n_edges
+            if kind == "densify":
+                material = g.n_people * g.n_tasks - g.n_edges
+            batch = int(rng.integers(1, 40))
+            n_batches = material // batch + int(rng.integers(1, 3))
+            seed = int(rng.integers(1000))
+            series = series_of(g, batch, n_batches, seed)
+            snapshots, truncated, _ = checkpoint_graphs_reference(
+                g, kind, batch * n_batches, batch, seed
+            )
+            assert series.modifications == [mods for mods, _ in snapshots[1:]]
+            assert series.graphs == [h for _, h in snapshots[1:]]
+            assert series.truncated == truncated
+
+
+def test_single_shot_perturbations_match_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = random_bipartite(rng, 8, 10)
+        hires = int(rng.integers(1, g.n_tasks + 1))
+        clones = int(rng.integers(1, 2 * g.n_people + 2))
+        seed = int(rng.integers(1000))
+        (*_, (_, hired)), _, _ = checkpoint_graphs_reference(
+            g, "singletons", hires, hires, seed
+        )
+        (*_, (_, cloned)), _, _ = checkpoint_graphs_reference(
+            g, "duplicates", clones, clones, 0
+        )
+        assert add_singletons(g, hires, seed) == hired
+        assert add_duplicates(g, clones) == cloned

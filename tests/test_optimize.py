@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from busfactor import cli, generators, optimize
+from busfactor import cli, optimize
 from busfactor.errors import DegenerateError
 from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
@@ -198,7 +198,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    for module in (optimize, generators, cli):
+    for module in (optimize, cli):
         monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
@@ -217,12 +217,11 @@ def test_pools_capped_at_job_count(pool_sizes):
     assert calibrate_pvalues(g, cfg, trials=3, workers=64) == calibrate_pvalues(
         g, cfg, trials=3
     )
-    generators.run_sweep(g, kind="densify", total_steps=2, stride=1, workers=64)
     cli._anneal_restarts(g, SHORT_SA, restarts=2, workers=64)
-    # 3 trials; 3 sweep checkpoints (0, 1, 2 modifications); 2 restarts
-    assert pool_sizes == [3, 3, 2]
+    # 3 trials; 2 restarts
+    assert pool_sizes == [3, 2]
     calibrate_pvalues(g, cfg, trials=1, workers=64)  # one job runs in process
-    assert pool_sizes == [3, 3, 2]
+    assert pool_sizes == [3, 2]
 
 
 # -- annealing ------------------------------------------------------------------
