@@ -29,6 +29,7 @@ from .optimize import (
     NullModelConfig,
     PermutationTestResult,
     anneal,
+    anneal_restarts,
     calibrate_pvalues,
     compare_decay,
     null_sample,
@@ -64,6 +65,7 @@ __all__ = [
     "add_duplicates",
     "add_singletons",
     "anneal",
+    "anneal_restarts",
     "bus_factor_exact",
     "bus_factor_greedy",
     "calibrate_pvalues",

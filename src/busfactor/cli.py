@@ -14,19 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from . import __version__
 from .coverage import coverage_report, normalize_delta
 from .errors import DegenerateError, InfeasibleError, ParseError
 from .generators import GeneratorConfig, generate_powerlaw, run_sweep, SWEEP_KINDS
 from .graph import ProjectGraph
-from .io import load_edge_list, person_label, render_edge_list, task_label
+from .io import file_format, graph_object, load_edge_list, person_label, render_edge_list
 from .optimize import (
     AnnealingConfig,
     NullModelConfig,
-    anneal,
+    anneal_restarts,
     calibrate_pvalues,
     compare_decay,
     permutation_test,
@@ -43,7 +41,7 @@ from .reporting import (
 )
 from .robustness import bus_factor_greedy
 
-# Built-in defaults, also the reference for --config key names.
+# Built-in defaults of the flags, by destination.
 DEFAULTS = {
     "delta": "0.5",
     "seed": 0,
@@ -181,20 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--adaptive", action="store_true", default=None,
-        help="re-rank degrees after every removal (equivalent order)",
+        help="accepted; the static degree order is used (re-ranking gives the same)",
     )
     p.add_argument("--output", help="decay CSV path")
 
     return parser
 
 
-_PATH_KEYS = ("input", "output", "output_prefix")
-
-
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The argparse actions of ``command``'s flags, by destination."""
+def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, dict]:
+    """Each subcommand's flag actions, by destination."""
     (commands,) = (a for a in parser._actions if a.dest == "command")
-    return {a.dest: a for a in commands.choices[command]._actions}
+    return {
+        command: {a.dest: a for a in sub._actions if a.dest != "help"}
+        for command, sub in commands.choices.items()
+    }
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -214,16 +212,16 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _merge_params(args: argparse.Namespace, actions: dict) -> dict:
+def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
     """Built-in defaults, overridden by --config values, overridden by flags.
 
     Only this subcommand's flags are kept, and their config values pass
-    through the flag's converter and choices (``actions``, by destination);
-    config keys belonging to other subcommands are tolerated (shared
-    pipeline configs), unknown keys are rejected.
+    through the flag's converter and choices (``actions``, by subcommand
+    and destination); config keys belonging to other subcommands are
+    tolerated (shared pipeline configs), unknown keys are rejected.
     """
-    dests = set(vars(args)) - {"command"}
-    params = {k: DEFAULTS.get(k) for k in dests}
+    own = actions[args.command]
+    params = {k: DEFAULTS.get(k) for k in own}
     given = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
     config_path = given.pop("config", None)
     if config_path:
@@ -233,9 +231,9 @@ def _merge_params(args: argparse.Namespace, actions: dict) -> dict:
             raise ParseError("--config file must contain a JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_")
-            if norm in dests:
-                params[norm] = _config_value(actions[norm], key, value)
-            elif norm not in DEFAULTS and norm not in _PATH_KEYS:
+            if norm in own:
+                params[norm] = _config_value(own[norm], key, value)
+            elif not any(norm in flags for flags in actions.values()):
                 raise ParseError(f"unknown --config key {key!r}")
     params.update(given)
     params.pop("config", None)
@@ -314,17 +312,10 @@ def _cmd_generate(params: dict) -> int:
 def _write_graph(
     graph: ProjectGraph, path: str, fmt: str | None, manifest: RunManifest
 ) -> None:
-    if fmt is None:
-        fmt = "json" if Path(path).suffix == ".json" else "csv"
-    if fmt == "csv":
+    if file_format(path, fmt) == "csv":
         write_text(path, manifest.comment_line() + "\n" + render_edge_list(graph, "csv"))
     else:
-        payload = {
-            "manifest": manifest.to_dict(),
-            "people": [person_label(p) for p in sorted(graph.people)],
-            "tasks": [task_label(t) for t in sorted(graph.tasks)],
-            "edges": [[person_label(p), task_label(t)] for p, t in graph.edges()],
-        }
+        payload = {"manifest": manifest.to_dict(), **graph_object(graph)}
         write_text(path, canonical_json(payload))
 
 
@@ -376,15 +367,15 @@ def _cmd_nulltest(params: dict) -> int:
 def _cmd_optimize(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output_prefix")
-    base = AnnealingConfig(
+    config = AnnealingConfig(
         initial_temperature=params["initial_temperature"],
         cooling_rate=params["cooling_rate"],
         steps_per_temperature=params["steps_per_temperature"],
         min_temperature=params["min_temperature"],
         seed=params["seed"],
     )
-    best_graph, best_trace = _anneal_restarts(
-        graph, base, params["restarts"], params["workers"]
+    best_graph, best_trace = anneal_restarts(
+        graph, config, params["restarts"], params["workers"]
     )
     manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]
@@ -396,44 +387,10 @@ def _cmd_optimize(params: dict) -> int:
     return 0
 
 
-def _restart_job(args):
-    graph, config = args
-    out_graph, trace = anneal(graph, config)
-    return bus_factor_greedy(out_graph).value, out_graph, trace
-
-
-def _anneal_restarts(graph, base: AnnealingConfig, restarts: int, workers: int):
-    """Best objective over independent chains; ties keep the smallest seed."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    configs = [
-        AnnealingConfig(
-            initial_temperature=base.initial_temperature,
-            cooling_rate=base.cooling_rate,
-            steps_per_temperature=base.steps_per_temperature,
-            min_temperature=base.min_temperature,
-            seed=base.seed + r,
-        )
-        for r in range(restarts)
-    ]
-    jobs = [(graph, c) for c in configs]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_restart_job, jobs))
-    else:
-        results = [_restart_job(job) for job in jobs]
-    best_value, best_graph, best_trace = results[0]
-    for value, out_graph, trace in results[1:]:
-        if value > best_value:
-            best_value, best_graph, best_trace = value, out_graph, trace
-    return best_graph, best_trace
-
-
 def _cmd_decay(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output")
-    result = bus_factor_greedy(graph, adaptive=bool(params["adaptive"]))
+    result = bus_factor_greedy(graph)
     manifest = _manifest("decay", params, digest)
     write_text(params["output"], decay_csv(result, manifest))
     return 0
@@ -453,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _merge_params(args, _flag_actions(parser, args.command))
+        params = _merge_params(args, _flag_actions(parser))
         return _HANDLERS[args.command](params)
     except (OSError, ParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)

@@ -54,8 +54,10 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n_people < 1 or self.n_tasks < 1:
             raise ValueError("n_people and n_tasks must be at least 1")
-        if self.exponent_people <= 1 or self.exponent_tasks <= 1:
-            raise ValueError("power-law exponents must exceed 1")
+        if not (
+            1 < self.exponent_people < math.inf and 1 < self.exponent_tasks < math.inf
+        ):
+            raise ValueError("power-law exponents must be finite and exceed 1")
         if self.min_degree < 1:
             raise ValueError("min_degree must be at least 1")
         if self.min_degree > self.n_tasks or self.min_degree > self.n_people:

@@ -24,8 +24,8 @@ from .graph import ProjectGraph
 
 FORMATS = ("csv", "json")
 
-_PERSON_RE = re.compile(r"^p(\d+)$")
-_TASK_RE = re.compile(r"^t(\d+)$")
+_PERSON_RE = re.compile(r"p([0-9]+)")
+_TASK_RE = re.compile(r"t([0-9]+)")
 
 
 def person_label(person: int) -> str:
@@ -37,18 +37,18 @@ def task_label(task: int) -> str:
 
 
 def _parse_person(field: str, line: int | None = None) -> int:
-    m = _PERSON_RE.match(field)
+    m = _PERSON_RE.fullmatch(field)
     if not m:
-        if _TASK_RE.match(field):
+        if _TASK_RE.fullmatch(field):
             raise ParseError(f"task id {field!r} in person column", line)
         raise ParseError(f"invalid person id {field!r}", line)
     return int(m.group(1))
 
 
 def _parse_task(field: str, line: int | None = None) -> int:
-    m = _TASK_RE.match(field)
+    m = _TASK_RE.fullmatch(field)
     if not m:
-        if _PERSON_RE.match(field):
+        if _PERSON_RE.fullmatch(field):
             raise ParseError(f"person id {field!r} in task column", line)
         raise ParseError(f"invalid task id {field!r}", line)
     return int(m.group(1))
@@ -74,20 +74,23 @@ def render_edge_list(graph: ProjectGraph, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
+def file_format(path: str | Path, fmt: str | None = None) -> str:
+    """``fmt`` if given, else the format the file name implies: ``json``
+    for a ``.json`` suffix, ``csv`` otherwise."""
+    if fmt is not None:
+        return fmt
+    return "json" if Path(path).suffix == ".json" else "csv"
+
+
 def load_edge_list(path: str | Path, fmt: str | None = None) -> ProjectGraph:
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
-    return parse_edge_list(path.read_bytes(), fmt)
+    return parse_edge_list(Path(path).read_bytes(), file_format(path, fmt))
 
 
 def save_edge_list(
     graph: ProjectGraph, path: str | Path, fmt: str | None = None
 ) -> None:
-    path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
-    path.write_text(render_edge_list(graph, fmt), encoding="utf-8", newline="\n")
+    text = render_edge_list(graph, file_format(path, fmt))
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 # -- CSV ---------------------------------------------------------------------
@@ -191,12 +194,15 @@ def _parse_json(data: str) -> ProjectGraph:
     return graph
 
 
-def _render_json(graph: ProjectGraph) -> str:
-    obj = {
+def graph_object(graph: ProjectGraph) -> dict:
+    """The ``people``, ``tasks`` and ``edges`` arrays of the JSON format, in
+    canonical order; writers may add keys, such as a manifest."""
+    return {
         "people": [person_label(p) for p in sorted(graph.people)],
         "tasks": [task_label(t) for t in sorted(graph.tasks)],
-        "edges": [
-            [person_label(p), task_label(t)] for p, t in graph.edges()
-        ],
+        "edges": [[person_label(p), task_label(t)] for p, t in graph.edges()],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _render_json(graph: ProjectGraph) -> str:
+    return json.dumps(graph_object(graph), indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import DegenerateError
@@ -27,13 +27,7 @@ from .graph import (
     require_nondegenerate,
     thaw,
 )
-from .robustness import (
-    DecayCurve,
-    bus_factor_greedy,
-    greedy_order,
-    insertion_area,
-    _normalization,
-)
+from .robustness import DecayCurve, bus_factor_greedy, insertion_area, _normalization
 
 
 @dataclass(frozen=True)
@@ -247,8 +241,12 @@ class AnnealingConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.initial_temperature <= 0 or self.min_temperature <= 0:
-            raise ValueError("temperatures must be positive")
+        # also rejects nan, and inf, whose cooling loop would never end
+        if not (
+            0 < self.initial_temperature < math.inf
+            and 0 < self.min_temperature < math.inf
+        ):
+            raise ValueError("temperatures must be positive and finite")
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.steps_per_temperature < 1:
@@ -291,13 +289,12 @@ def anneal(
 
     people, tasks, adjacency = graph.freeze()
     n_tasks = len(tasks)
-    own_tasks = dict(zip(people, adjacency))
-    by_slot = greedy_order(graph)[::-1]
-    slot = {p: k for k, p in enumerate(by_slot)}
-    held = [set(own_tasks[p]) for p in by_slot]
+    reinsertion = degree_slots(adjacency)[::-1]
+    slot = {i: k for k, i in enumerate(reinsertion)}
+    held = [set(adjacency[i]) for i in reinsertion]
     # (slot, task index) in the canonical (person, task) order, which is
     # the order the edge draws index into
-    edges = [(slot[p], t) for p in people for t in own_tasks[p]]
+    edges = [(slot[i], t) for i, own in enumerate(adjacency) for t in own]
     task_degree = [0] * n_tasks
     for _, t in edges:
         task_degree[t] += 1
@@ -354,8 +351,28 @@ def anneal(
     best = ProjectGraph(
         people=people,
         tasks=tasks,
-        edges=((by_slot[k], tasks[t]) for k, t in best_edges),
+        edges=((people[reinsertion[k]], tasks[t]) for k, t in best_edges),
     )
+    return best, trace
+
+
+def _restart(graph: ProjectGraph, config: AnnealingConfig):
+    best, trace = anneal(graph, config)
+    return bus_factor_greedy(best).value, best, trace
+
+
+def anneal_restarts(
+    graph: ProjectGraph, config: AnnealingConfig, restarts: int, workers: int = 1
+) -> tuple[ProjectGraph, AnnealingTrace]:
+    """The best of ``restarts`` independent :func:`anneal` chains, seeded
+    ``config.seed + r``: the highest greedy robustness wins, ties to the
+    smallest seed. The result does not depend on ``workers``."""
+    config.validate()
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    jobs = [(graph, replace(config, seed=config.seed + r)) for r in range(restarts)]
+    results = _map_jobs(_restart, jobs, workers)
+    _, best, trace = max(results, key=lambda result: result[0])  # first of ties
     return best, trace
 
 

@@ -140,35 +140,21 @@ def robustness(graph: ProjectGraph, order: RemovalSequence) -> float:
     return _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
 
 
-def greedy_order(graph: ProjectGraph, adaptive: bool = False) -> list[PersonId]:
+def greedy_order(graph: ProjectGraph) -> list[PersonId]:
     """Most-destructive-first heuristic order: decreasing degree, ties to
     the smallest id.
 
-    ``adaptive`` re-ranks after every removal. Removing a person never
-    changes anyone else's degree in a bipartite person-task graph, so it
-    provably returns the static order; it exists as an executable check of
-    that equivalence.
+    Removing a person never changes anyone else's degree in a bipartite
+    person-task graph, so re-ranking after every removal gives this same
+    order.
     """
-    if not adaptive:
-        return degree_order(graph)
-    remaining = graph.copy()
-    order: list[PersonId] = []
-    while remaining.n_people:
-        nxt = min(
-            remaining.people,
-            key=lambda p: (-remaining.degree_of_person(p), p),
-        )
-        order.append(nxt)
-        remaining = remaining.remove_people([nxt])
-    return order
+    return degree_order(graph)
 
 
-def bus_factor_greedy(
-    graph: ProjectGraph, adaptive: bool = False
-) -> RobustnessResult:
+def bus_factor_greedy(graph: ProjectGraph) -> RobustnessResult:
     """Upper bound on worst-case robustness via the degree-order heuristic."""
     require_nondegenerate(graph)
-    order = greedy_order(graph, adaptive=adaptive)
+    order = greedy_order(graph)
     curve = decay_curve(graph, order)
     value = _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
     return RobustnessResult(value=value, sequence=tuple(order), curve=curve)

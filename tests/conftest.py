@@ -139,6 +139,21 @@ def z_worst_bruteforce(graph: ProjectGraph, target) -> int:
     return z
 
 
+def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
+    """Greedy order re-ranked after every removal: decreasing degree in the
+    remaining graph, ties to the smallest id. O(P^2) graph copies."""
+    remaining = graph.copy()
+    order: list[int] = []
+    while remaining.n_people:
+        nxt = min(
+            remaining.people,
+            key=lambda p: (-remaining.degree_of_person(p), p),
+        )
+        order.append(nxt)
+        remaining = remaining.remove_people([nxt])
+    return order
+
+
 # -- reference annealer: mutates a ProjectGraph, rescores it with decay_curve ----
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -185,11 +186,14 @@ def test_decay_command(tmp_path, fixture_path):
     assert run("decay", "--input", fixture_path, "--output", out) == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert body == ["step,removed_person,tau", "0,,3", "1,p1,2", "2,p2,0"]
-    # adaptive re-ranking provably matches the static order
+    # --adaptive is recorded; re-ranking provably gives the static order
     out2 = tmp_path / "decay2.csv"
     assert run("decay", "--input", fixture_path, "--adaptive", "--output", out2) == 0
     strip = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
     assert strip(out2) == strip(out)
+    for path, adaptive in ((out, False), (out2, True)):
+        manifest = json.loads(path.read_text().splitlines()[0][len("# manifest: "):])
+        assert manifest["parameters"]["adaptive"] is adaptive
 
 
 def test_config_file_merging(tmp_path, fixture_path):
@@ -210,11 +214,17 @@ def test_config_file_merging(tmp_path, fixture_path):
 
     # keys for other subcommands are tolerated, unknown keys are not
     shared = tmp_path / "shared.json"
-    shared.write_text(json.dumps({"steps": 2, "stride": 1, "samples": 7}))
-    assert run("sweep", "--input", fixture_path, "--kind", "duplicates",
-               "--config", shared, "--output", out) == 0
+    shared.write_text(
+        json.dumps({"steps": 2, "stride": 1, "samples": 7, "kind": "duplicates"})
+    )
+    assert run("sweep", "--input", fixture_path, "--config", shared,
+               "--output", out) == 0
     manifest = json.loads(out.read_text().splitlines()[0][len("# manifest: "):])
     assert "samples" not in manifest["parameters"]
+    report = tmp_path / "report.json"
+    assert run("analyze", "--input", fixture_path, "--config", shared,
+               "--output", report) == 0
+    assert "kind" not in json.loads(report.read_text())["manifest"]["parameters"]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"no_such_flag": 1}))
@@ -269,3 +279,51 @@ def test_nonpositive_workers_rejected_with_usage(fixture_path, tmp_path, capsys,
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "null.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--people", 5, "--tasks", 5, "--exponent-people", "nan",
+         "--output", "g.csv"],
+        ["optimize", "--input", "fixture.csv", "--initial-temperature", "nan",
+         "--output-prefix", "opt"],
+    ],
+)
+def test_non_finite_floats_are_infeasible(tmp_path, fixture_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["fixture.csv"]
+
+
+GRAPH_WITH_ISOLATED_NODES = {
+    "people": ["p1", "p2", "p3", "p4", "p9"],
+    "tasks": ["t1", "t2", "t3", "t4", "t5", "t9"],
+    "edges": [["p1", "t1"], ["p1", "t2"], ["p2", "t2"], ["p2", "t3"],
+              ["p3", "t4"], ["p3", "t5"], ["p4", "t5"]],
+}
+
+
+def test_json_graph_files_are_pinned(tmp_path, monkeypatch):
+    # no benchmark digest covers JSON graph files, so these pin their bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixture.json").write_text(json.dumps(GRAPH_WITH_ISOLATED_NODES))
+    schedule = ["--seed", 7, "--steps-per-temperature", 20, "--cooling-rate", "0.8",
+                "--min-temperature", "1e-3"]
+    assert run("generate", "--people", 12, "--tasks", 15, "--seed", 3,
+               "--format", "json", "--output", "gen.json") == 0
+    assert run("optimize", "--input", "fixture.json", "--format", "json", *schedule,
+               "--output-prefix", "opt") == 0
+    # five chains (seeds 7-11); seeds 8 and 11 tie for the best, 8 is kept
+    assert run("optimize", "--input", "fixture.json", "--format", "json", *schedule,
+               "--restarts", 5, "--output-prefix", "best") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("gen.json", "opt.graph.json", "best.graph.json", "best.trace.csv")
+    }
+    assert digests == {
+        "gen.json": "fe6b384960d04a42619902265f22b7da412c335557e2da90d0b052445f28a71c",
+        "opt.graph.json": "4ca147a97ae65178fb45653215b65d55e1f57f748d325ed9e207f5f8dc3b877d",
+        "best.graph.json": "e3ca5c0c5f506bc82d280fac99449106c0dba4b42f69d16aa44fedfdb2b16bdd",
+        "best.trace.csv": "ee8fcff13ccbdb1ba9a9ba394096fcbaf5d075f8189234fdee1b760fde46df55",
+    }

@@ -56,6 +56,11 @@ def test_generate_config_validation():
         GeneratorConfig(n_people=0, n_tasks=5).validate()
     with pytest.raises(ValueError):
         GeneratorConfig(n_people=5, n_tasks=5, exponent_people=1.0).validate()
+    for exponent in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorConfig(n_people=5, n_tasks=5, exponent_people=exponent).validate()
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorConfig(n_people=5, n_tasks=5, exponent_tasks=exponent).validate()
     with pytest.raises(ValueError, match="infeasible"):
         generate_powerlaw(GeneratorConfig(n_people=3, n_tasks=5, min_degree=4))
 

@@ -1,13 +1,19 @@
+import json
+
 import pytest
+from hypothesis import given
 
 from busfactor.errors import ParseError
 from busfactor.graph import ProjectGraph
 from busfactor.io import (
+    FORMATS,
     load_edge_list,
     parse_edge_list,
     render_edge_list,
     save_edge_list,
 )
+
+from conftest import sparse_graphs
 
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
@@ -47,6 +53,8 @@ def test_parse_errors():
         parse_edge_list("person,task\np1,t1\np1,t1\n")
     with pytest.raises(ParseError, match="invalid person id"):
         parse_edge_list("person,task\nalice,t1\n")
+    with pytest.raises(ParseError, match="invalid task id"):
+        parse_edge_list("person,task\np1,t\u0661\u0662\n")  # Arabic-Indic digits
     with pytest.raises(ParseError, match="duplicate declaration"):
         parse_edge_list("person,task\np1,\np1,\n")
 
@@ -70,6 +78,18 @@ def test_csv_rows_sorted():
     assert render_edge_list(g, "csv") == "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
 
+@given(sparse_graphs())
+def test_round_trip_property(graph):
+    # sparse_graphs declares ids in any order; rendering must not depend on it
+    declared_sorted = ProjectGraph(sorted(graph.people), sorted(graph.tasks), graph.edges())
+    for fmt in FORMATS:
+        text = render_edge_list(graph, fmt)
+        back = parse_edge_list(text, fmt)
+        assert back == graph
+        assert render_edge_list(back, fmt) == text
+        assert render_edge_list(declared_sorted, fmt) == text
+
+
 def test_json_round_trip(four_edge_graph):
     text = render_edge_list(four_edge_graph, "json")
     assert parse_edge_list(text, "json") == four_edge_graph
@@ -91,6 +111,11 @@ def test_json_errors():
             ' "edges": [["p1", "t1"], ["p1", "t1"]]}',
             "json",
         )
+    for label in ("p1\n", "p\u0661\u0662"):  # trailing newline, Arabic-Indic digits
+        with pytest.raises(ParseError, match="invalid person id"):
+            parse_edge_list(
+                json.dumps({"people": [label], "tasks": [], "edges": []}), "json"
+            )
 
 
 def test_json_ignores_extra_keys(four_edge_graph):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from busfactor import cli, optimize
+from busfactor import optimize
 from busfactor.errors import DegenerateError
 from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
@@ -13,6 +14,7 @@ from busfactor.optimize import (
     AnnealingConfig,
     NullModelConfig,
     anneal,
+    anneal_restarts,
     calibrate_pvalues,
     compare_decay,
     null_objectives,
@@ -198,8 +200,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    for module in (optimize, cli):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -217,7 +218,7 @@ def test_pools_capped_at_job_count(pool_sizes):
     assert calibrate_pvalues(g, cfg, trials=3, workers=64) == calibrate_pvalues(
         g, cfg, trials=3
     )
-    cli._anneal_restarts(g, SHORT_SA, restarts=2, workers=64)
+    anneal_restarts(g, SHORT_SA, restarts=2, workers=64)
     # 3 trials; 2 restarts
     assert pool_sizes == [3, 2]
     calibrate_pvalues(g, cfg, trials=1, workers=64)  # one job runs in process
@@ -225,6 +226,51 @@ def test_pools_capped_at_job_count(pool_sizes):
 
 
 # -- annealing ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("initial_temperature", math.inf),
+        ("initial_temperature", math.nan),
+        ("min_temperature", math.inf),
+        ("min_temperature", math.nan),
+        ("initial_temperature", 0.0),
+        ("cooling_rate", math.nan),
+    ],
+)
+def test_annealing_config_rejects_non_finite_and_nonpositive(field, value):
+    with pytest.raises(ValueError):
+        replace(SHORT_SA, **{field: value}).validate()
+
+
+def test_restarts_validate_before_pool(pool_sizes, k22):
+    with pytest.raises(ValueError, match="cooling_rate"):
+        anneal_restarts(k22, replace(SHORT_SA, cooling_rate=1.5), restarts=2, workers=2)
+    with pytest.raises(ValueError, match="restarts"):
+        anneal_restarts(k22, SHORT_SA, restarts=0, workers=2)
+    assert pool_sizes == []
+
+
+def test_restarts_keep_the_best_chain_and_the_earliest_tie():
+    g = ProjectGraph(
+        people=[9], tasks=[9],
+        edges=[(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
+    )
+    config = AnnealingConfig(
+        steps_per_temperature=20, cooling_rate=0.8, min_temperature=1e-3, seed=7
+    )
+    chains = [anneal(g, replace(config, seed=7 + r)) for r in range(5)]
+    values = [bus_factor_greedy(best).value for best, _ in chains]
+    top = [r for r, v in enumerate(values) if v == max(values)]
+    # the best chain is not the first, and it ties with a different later one
+    assert top[0] > 0 and len(top) > 1
+    first, last = chains[top[0]], chains[top[-1]]
+    assert (first[0], first[1].rows) != (last[0], last[1].rows)
+    for workers in (1, 2):
+        best, trace = anneal_restarts(g, config, restarts=5, workers=workers)
+        assert best == first[0]
+        assert trace.rows == first[1].rows
 
 
 def test_anneal_preserves_person_degrees_and_coverage():

@@ -13,7 +13,7 @@ from busfactor.robustness import (
     robustness,
 )
 
-from conftest import random_bipartite, sparse_graphs
+from conftest import greedy_order_adaptive_reference, random_bipartite, sparse_graphs
 
 
 def random_permutation(rng, graph):
@@ -104,15 +104,16 @@ def test_greedy_order_ties_and_degrees():
     g = ProjectGraph(edges=[(3, 1), (3, 2), (1, 1), (2, 1), (2, 2)])
     # degrees: p3=2, p2=2, p1=1; ties by ascending id
     assert greedy_order(g) == [2, 3, 1]
-    assert greedy_order(g, adaptive=True) == [2, 3, 1]
+    assert greedy_order_adaptive_reference(g) == [2, 3, 1]
 
 
 def test_adaptive_order_equals_static():
-    # others' departures never change a person's degree, so both paths agree
+    # others' departures never change a person's degree, so re-ranking
+    # after each removal reproduces the static order
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = random_bipartite(rng, 10, 10)
-        assert greedy_order(g) == greedy_order(g, adaptive=True)
+        assert greedy_order(g) == greedy_order_adaptive_reference(g)
 
 
 def test_exact_examples(four_edge_graph, k22):
