@@ -23,12 +23,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
 from .errors import DegenerateError
 from .graph import ProjectGraph, degree_slots, require_nondegenerate, thaw
 from .robustness import _normalization, insertion_area
+
+# numpy is imported inside the functions that use it, so that commands
+# that draw no random numbers (analyze, decay) never load it.
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +38,7 @@ SWEEP_KINDS = ("densify", "sparsify", "singletons", "duplicates")
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream...) with a stable mapping."""
+    import numpy as np
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
@@ -82,6 +84,7 @@ def _sample_powerlaw_degrees(
     rng: np.random.Generator, n: int, exponent: float, k_min: int, k_max: int
 ) -> np.ndarray:
     """n i.i.d. draws from a truncated discrete power law on [k_min, k_max]."""
+    import numpy as np
     support = np.arange(k_min, k_max + 1, dtype=np.float64)
     pmf = support ** (-exponent)
     cdf = np.cumsum(pmf / pmf.sum())
@@ -91,6 +94,7 @@ def _sample_powerlaw_degrees(
 
 def generate_powerlaw(config: GeneratorConfig) -> ProjectGraph:
     """Seeded power-law bipartite graph per the module docstring recipe."""
+    import numpy as np
     config.validate()
     rng = make_rng(config.seed)
     n_p, n_t = config.n_people, config.n_tasks
@@ -123,6 +127,7 @@ def generate_powerlaw(config: GeneratorConfig) -> ProjectGraph:
 def _repair_min_degree(
     graph: ProjectGraph, min_degree: int, rng: np.random.Generator
 ) -> None:
+    import numpy as np
     all_tasks = np.array(sorted(graph.tasks))
     all_people = np.array(sorted(graph.people))
     for p in sorted(graph.people):
@@ -141,6 +146,7 @@ def _repair_min_degree(
 
 def _absent(ids: np.ndarray, present: frozenset[int]) -> np.ndarray:
     """The sorted ``ids`` not in ``present``, a subset of them, in order."""
+    import numpy as np
     keep = np.ones(len(ids), dtype=bool)
     keep[np.searchsorted(ids, list(present))] = False
     return ids[keep]

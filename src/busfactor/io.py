@@ -2,10 +2,11 @@
 
 Two interchangeable on-disk formats:
 
-* CSV with header ``person,task``; ids look like ``p12`` / ``t7``. Edge rows
-  carry both fields, isolated nodes are declared by leaving the other field
-  empty (``p3,`` / ``,t9``). Lines starting with ``#`` are ignored so tools
-  can prepend provenance headers.
+* CSV with header ``person,task``; ids look like ``p12`` / ``t7``, without
+  leading zeros, so each id has one spelling. Edge rows carry both fields,
+  isolated nodes are declared by leaving the other field empty (``p3,`` /
+  ``,t9``). Lines starting with ``#`` are ignored so tools can prepend
+  provenance headers.
 * JSON object with ``people``, ``tasks`` and ``edges`` arrays using the same
   prefixed ids. Unknown keys (e.g. an embedded manifest) are ignored.
 
@@ -24,8 +25,8 @@ from .graph import ProjectGraph
 
 FORMATS = ("csv", "json")
 
-_PERSON_RE = re.compile(r"p([0-9]+)")
-_TASK_RE = re.compile(r"t([0-9]+)")
+_PERSON_RE = re.compile(r"p(0|[1-9][0-9]*)")
+_TASK_RE = re.compile(r"t(0|[1-9][0-9]*)")
 
 
 def person_label(person: int) -> str:

@@ -12,7 +12,6 @@ temperature-controlled probability.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -28,6 +27,8 @@ from .graph import (
     thaw,
 )
 from .robustness import DecayCurve, bus_factor_greedy, insertion_area, _normalization
+
+_DRAW_PAIRS = 1 << 13  # swap attempts per draw chunk; bounds null_sample's memory
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,10 @@ def null_sample(
     holds task index ``task[i]``; the per-person task sets ``held`` answer
     the crossed-edge checks. No graph is built unless ``.graph`` is read.
     ``frozen`` is ``graph.freeze()``, for callers that draw many samples.
+
+    The ``2 * attempts`` edge draws are streamed in chunks of at most
+    ``2 * _DRAW_PAIRS``; concatenated, the chunks equal one
+    ``rng.integers(0, m, size=2 * attempts)`` draw.
     """
     config.validate()
     people, tasks, adjacency = graph.freeze() if frozen is None else frozen
@@ -90,24 +95,26 @@ def null_sample(
     task = [t for own in adjacency for t in own]
     attempts = config.swaps_per_edge * m
     rng = make_rng(config.seed, sample_index)
-    draws = iter(rng.integers(0, m, size=2 * attempts).tolist())
     swaps = 0
-    for i, j in zip(draws, draws):
-        p1, p2 = owner[i], owner[j]
-        if p1 == p2:  # also covers i == j
-            continue
-        t1, t2 = task[i], task[j]
-        if t1 == t2:
-            continue
-        own1, own2 = held[p1], held[p2]
-        if t2 in own1 or t1 in own2:
-            continue
-        own1.remove(t1)
-        own1.add(t2)
-        own2.remove(t2)
-        own2.add(t1)
-        task[i], task[j] = t2, t1
-        swaps += 1
+    for start in range(0, attempts, _DRAW_PAIRS):
+        pairs = min(_DRAW_PAIRS, attempts - start)
+        draws = iter(rng.integers(0, m, size=2 * pairs).tolist())
+        for i, j in zip(draws, draws):
+            p1, p2 = owner[i], owner[j]
+            if p1 == p2:  # also covers i == j
+                continue
+            t1, t2 = task[i], task[j]
+            if t1 == t2:
+                continue
+            own1, own2 = held[p1], held[p2]
+            if t2 in own1 or t1 in own2:
+                continue
+            own1.remove(t1)
+            own1.add(t2)
+            own2.remove(t2)
+            own2.add(t1)
+            task[i], task[j] = t2, t1
+            swaps += 1
     return SwapResult(people, tasks, held, attempts=attempts, swaps=swaps)
 
 
@@ -161,6 +168,7 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
     """``fn(*job)`` for each job, in order; at most one process per job."""
     workers = min(workers, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import busfactor
 from busfactor.cli import main
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
@@ -52,6 +57,18 @@ def test_analyze_malformed_file(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("person,task\np1,p1\n")
     assert run("analyze", "--input", bad, "--output", tmp_path / "o.json") == 1
+
+
+@pytest.mark.parametrize("person,task", [("p01", "t1"), ("p1", "t007"), ("p00", "t1")])
+def test_analyze_rejects_leading_zeros(tmp_path, person, task):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"person,task\n{person},{task}\n")
+    doc = tmp_path / "bad.json"
+    doc.write_text(
+        json.dumps({"people": [person], "tasks": [task], "edges": [[person, task]]})
+    )
+    for bad in (csv, doc):
+        assert run("analyze", "--input", bad, "--output", tmp_path / "o.json") == 1
 
 
 def test_analyze_infeasible_delta(tmp_path):
@@ -327,3 +344,67 @@ def test_json_graph_files_are_pinned(tmp_path, monkeypatch):
         "best.graph.json": "e3ca5c0c5f506bc82d280fac99449106c0dba4b42f69d16aa44fedfdb2b16bdd",
         "best.trace.csv": "ee8fcff13ccbdb1ba9a9ba394096fcbaf5d075f8189234fdee1b760fde46df55",
     }
+
+
+# -- import cost ------------------------------------------------------------------
+
+# Runs ``main(argv)``, or with no arguments ``import busfactor``, in a fresh
+# interpreter and prints which of the costly optional modules got loaded.
+_IMPORT_PROBE = """
+import sys
+if sys.argv[1:]:
+    from busfactor.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --version exits through argparse
+        code = exc.code
+    assert code in (0, None), code
+else:
+    import busfactor
+print(",".join(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def costly_modules_loaded(tmp_path, *argv) -> set[str]:
+    src = str(Path(busfactor.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(filter(None, result.stdout.splitlines()[-1].split(",")))
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ([], set()),
+        (["--version"], set()),
+        (["analyze", "--input", "fixture.csv", "--output", "r.json"], set()),
+        (["decay", "--input", "fixture.csv", "--output", "d.csv"], set()),
+        (
+            ["sweep", "--input", "fixture.csv", "--kind", "densify", "--steps", 4,
+             "--output", "s.csv"],
+            {"numpy"},
+        ),
+        (
+            ["nulltest", "--input", "fixture.csv", "--samples", 4, "--workers", 1,
+             "--output", "n.json"],
+            {"numpy"},
+        ),
+        (
+            ["nulltest", "--input", "fixture.csv", "--samples", 4, "--workers", 2,
+             "--output", "n.json"],
+            {"concurrent.futures.process"},  # the workers draw, not the parent
+        ),
+    ],
+)
+def test_commands_load_numpy_and_the_pool_only_when_used(
+    tmp_path, fixture_path, argv, loaded
+):
+    # fixture_path is tmp_path / "fixture.csv", the probe's working directory
+    assert costly_modules_loaded(tmp_path, *argv) == loaded

@@ -57,6 +57,12 @@ def test_parse_errors():
         parse_edge_list("person,task\np1,t\u0661\u0662\n")  # Arabic-Indic digits
     with pytest.raises(ParseError, match="duplicate declaration"):
         parse_edge_list("person,task\np1,\np1,\n")
+    # leading zeros: p01 would load as p1, re-render as p1 and clash with p1
+    for row in ("p01,t1", "p00,t1"):
+        with pytest.raises(ParseError, match="invalid person id"):
+            parse_edge_list(f"person,task\n{row}\n")
+    with pytest.raises(ParseError, match="invalid task id 't007'"):
+        parse_edge_list("person,task\np1,t007\n")
 
 
 def test_csv_round_trip(four_edge_graph):
@@ -111,11 +117,16 @@ def test_json_errors():
             ' "edges": [["p1", "t1"], ["p1", "t1"]]}',
             "json",
         )
-    for label in ("p1\n", "p\u0661\u0662"):  # trailing newline, Arabic-Indic digits
+    # trailing newline, Arabic-Indic digits, leading zeros
+    for label in ("p1\n", "p\u0661\u0662", "p01", "p00"):
         with pytest.raises(ParseError, match="invalid person id"):
             parse_edge_list(
                 json.dumps({"people": [label], "tasks": [], "edges": []}), "json"
             )
+    with pytest.raises(ParseError, match="invalid task id"):
+        parse_edge_list(
+            json.dumps({"people": [], "tasks": ["t007"], "edges": []}), "json"
+        )
 
 
 def test_json_ignores_extra_keys(four_edge_graph):

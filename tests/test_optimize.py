@@ -1,14 +1,21 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from busfactor import optimize
 from busfactor.errors import DegenerateError
-from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
+from busfactor.generators import (
+    GeneratorConfig,
+    disjoint_union,
+    generate_powerlaw,
+    make_rng,
+)
 from busfactor.graph import ProjectGraph
 from busfactor.optimize import (
     AnnealingConfig,
@@ -163,6 +170,61 @@ def test_null_sample_matches_reference_property(graph):
     assert_matches_reference(graph, NullModelConfig(n_samples=1, swaps_per_edge=2), 5)
 
 
+@pytest.mark.parametrize("pairs", [1, 3, 64])
+def test_chunked_draws_match_reference_random(monkeypatch, pairs):
+    # chunks smaller than one sample's draws, with a short last chunk
+    # whenever 3 or 64 does not divide the 2 * n_edges attempts
+    monkeypatch.setattr(optimize, "_DRAW_PAIRS", pairs)
+    rng = np.random.default_rng(93)
+    swapped = 0
+    for i in range(20):
+        g = random_bipartite(rng, 12, 12)
+        swapped += assert_matches_reference(
+            g, NullModelConfig(n_samples=1, swaps_per_edge=2, seed=i), i
+        ) > 0
+    assert swapped >= 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.sampled_from([1, 3, 64]))
+def test_chunked_draws_match_reference_property(graph, pairs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_DRAW_PAIRS", pairs)
+        assert_matches_reference(
+            graph, NullModelConfig(n_samples=1, swaps_per_edge=2), 5
+        )
+
+
+@pytest.mark.parametrize("m", [2, 1000, 2**31 - 1, 2**32 + 3])
+def test_chunked_integers_equal_one_draw(m):
+    # m - 1 below 2**32 takes numpy's 32-bit bounded path, above it the
+    # 64-bit one; odd chunk lengths split the 32-bit path's paired words
+    n = 1001
+    want = make_rng(3, 1).integers(0, m, size=n).tolist()
+    for chunk in (1, 3, 7, 333):
+        rng = make_rng(3, 1)
+        got = []
+        while len(got) < n:
+            got += rng.integers(0, m, size=min(chunk, n - len(got))).tolist()
+        assert got == want
+
+
+def test_null_sample_memory_does_not_grow_with_swaps():
+    g = generate_powerlaw(GeneratorConfig(n_people=750, n_tasks=1000, seed=42))
+
+    def peak(swaps_per_edge):
+        tracemalloc.start()
+        try:
+            null_sample(g, NullModelConfig(n_samples=1, swaps_per_edge=swaps_per_edge))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm-up: a first draw may import numpy
+    # 20 times the draws: one draw list would hold ~7 MB more
+    assert abs(peak(40) - peak(2)) < 1 << 20
+
+
 def test_null_objectives_match_reference():
     g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=12))
     cfg = NullModelConfig(n_samples=1, seed=4)
@@ -200,7 +262,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(optimize, "ProcessPoolExecutor", RecordingPool)
+    # _map_jobs imports the pool class when it opens a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
