@@ -41,7 +41,6 @@ from .robustness import (
     bus_factor_exact,
     bus_factor_greedy,
     decay_curve,
-    decay_curve_naive,
     robustness,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "compare_decay",
     "coverage_report",
     "decay_curve",
-    "decay_curve_naive",
     "densify",
     "disjoint_union",
     "generate_powerlaw",

@@ -12,6 +12,7 @@ degenerate request (including out-of-range thresholds), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,30 +42,24 @@ from .reporting import (
 )
 from .robustness import bus_factor_greedy
 
-# Built-in defaults of the flags, by destination.
+# Built-in defaults of the flags, by destination: the config classes' field
+# defaults, plus literals for the flags that no config field defaults.
 DEFAULTS = {
+    f.name: f.default
+    for config in (GeneratorConfig, NullModelConfig, AnnealingConfig)
+    for f in dataclasses.fields(config)
+    if f.default is not dataclasses.MISSING
+} | {
     "delta": "0.5",
-    "seed": 0,
     "workers": 1,
-    "format": None,
     "people": 750,
     "tasks": 1000,
-    "exponent_people": 2.5,
-    "exponent_tasks": 2.5,
-    "min_degree": 1,
     "steps": 5000,
     "stride": 100,
     "samples": 1000,
-    "swaps_per_edge": 10,
-    "calibrate": None,
     "include_null_values": False,
-    "initial_temperature": 0.05,
-    "cooling_rate": 0.95,
-    "steps_per_temperature": 200,
-    "min_temperature": 1e-4,
     "restarts": 1,
     "adaptive": False,
-    "decay_output": None,
 }
 
 # Flags that cannot influence result bytes (worker counts, file locations)

@@ -69,16 +69,6 @@ class GeneratorConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_people": self.n_people,
-            "n_tasks": self.n_tasks,
-            "exponent_people": self.exponent_people,
-            "exponent_tasks": self.exponent_tasks,
-            "min_degree": self.min_degree,
-            "seed": self.seed,
-        }
-
 
 def _sample_powerlaw_degrees(
     rng: np.random.Generator, n: int, exponent: float, k_min: int, k_max: int

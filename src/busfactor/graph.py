@@ -1,4 +1,4 @@
-"""Bipartite person-task graph with coverage and component primitives.
+"""Bipartite person-task graph and its dense-index snapshot.
 
 People and tasks are plain non-negative integers living in two disjoint
 namespaces; an edge (p, t) means person ``p`` contributes to task ``t``.
@@ -188,84 +188,11 @@ class ProjectGraph:
     def fresh_task_id(self) -> TaskId:
         return max(self._tasks, default=-1) + 1
 
-    def clone_person(self, person: PersonId) -> PersonId:
-        """Add a new person copying ``person``'s full task neighborhood."""
-        self._require_person(person)
-        new_id = self.fresh_person_id()
-        neighborhood = set(self._people[person])
-        self._people[new_id] = neighborhood
-        for t in neighborhood:
-            self._tasks[t].add(new_id)
-        self._n_edges += len(neighborhood)
-        return new_id
-
     # -- analyses ------------------------------------------------------------
-
-    def coverage(self, team: Iterable[PersonId]) -> set[TaskId]:
-        """Tasks performed by at least one person in ``team``."""
-        covered: set[TaskId] = set()
-        for p in team:
-            self._require_person(p)
-            covered |= self._people[p]
-        return covered
 
     def covered_task_count(self) -> int:
         """Number of tasks with at least one contributor."""
         return sum(1 for adj in self._tasks.values() if adj)
-
-    def remove_people(self, people: Iterable[PersonId]) -> ProjectGraph:
-        """New graph without ``people``; tasks stay as (possibly isolated) nodes."""
-        gone = set(people)
-        for p in gone:
-            self._require_person(p)
-        new = ProjectGraph.__new__(ProjectGraph)
-        new._people = {
-            p: set(adj) for p, adj in self._people.items() if p not in gone
-        }
-        new._tasks = {t: adj - gone for t, adj in self._tasks.items()}
-        new._n_edges = sum(len(adj) for adj in new._people.values())
-        return new
-
-    def largest_task_component_size(self) -> int:
-        """Tasks in the largest connected component that contains a person.
-
-        Degree-0 tasks sit in person-free components and never contribute;
-        a graph whose components all lack either a person or a task scores 0.
-        """
-        visited_p: set[PersonId] = set()
-        best = 0
-        for start in self._people:
-            if start in visited_p:
-                continue
-            stack = [start]
-            visited_p.add(start)
-            comp_tasks: set[TaskId] = set()
-            while stack:
-                p = stack.pop()
-                for t in self._people[p]:
-                    if t not in comp_tasks:
-                        comp_tasks.add(t)
-                        for q in self._tasks[t]:
-                            if q not in visited_p:
-                                visited_p.add(q)
-                                stack.append(q)
-            if len(comp_tasks) > best:
-                best = len(comp_tasks)
-        return best
-
-    def is_backbone_set(self, people: Iterable[PersonId]) -> bool:
-        """True iff removing ``people`` leaves only disconnected stars.
-
-        Equivalently: afterwards every still-covered task has exactly one
-        remaining contributor.
-        """
-        gone = set(people)
-        for p in gone:
-            self._require_person(p)
-        for adj in self._tasks.values():
-            if len(adj - gone) > 1:
-                return False
-        return True
 
     # -- internal ------------------------------------------------------------
 
@@ -280,14 +207,8 @@ class ProjectGraph:
 
 def degree_slots(held: Sequence[Sized]) -> list[int]:
     """Slots by decreasing ``len(held[k])``, ties to the smallest slot (the
-    sort is stable); with slots in id order, :func:`degree_order`."""
+    sort is stable); with slots in id order, the greedy removal order."""
     return sorted(range(len(held)), key=lambda k: -len(held[k]))
-
-
-def degree_order(graph: ProjectGraph) -> list[PersonId]:
-    """People by decreasing degree, ties to the smallest id."""
-    people = sorted(graph.people)
-    return [people[k] for k in degree_slots([graph._people[p] for p in people])]
 
 
 def thaw(

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .graph import PersonId, ProjectGraph, degree_order, require_nondegenerate
+from .graph import PersonId, ProjectGraph, degree_slots, require_nondegenerate
 
 EXACT_GUARD = 8  # permutation enumeration refuses larger people sets
 
@@ -27,12 +27,6 @@ class DecayCurve:
     0..n_people removals."""
 
     values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -107,17 +101,6 @@ def decay_curve(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
     return DecayCurve((*reversed(maxima), 0))
 
 
-def decay_curve_naive(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
-    """Reference decay curve by full recomputation after each removal."""
-    order = _validate_sequence(graph, order)
-    values = [graph.largest_task_component_size()]
-    current = graph
-    for p in order:
-        current = current.remove_people([p])
-        values.append(current.largest_task_component_size())
-    return DecayCurve(tuple(values))
-
-
 def _area_numerator(curve: DecayCurve) -> int:
     values = curve.values
     return sum(values[i - 1] + values[i] for i in range(1, len(values)))
@@ -148,7 +131,8 @@ def greedy_order(graph: ProjectGraph) -> list[PersonId]:
     person-task graph, so re-ranking after every removal gives this same
     order.
     """
-    return degree_order(graph)
+    people, _, adjacency = graph.freeze()
+    return [people[k] for k in degree_slots(adjacency)]
 
 
 def bus_factor_greedy(graph: ProjectGraph) -> RobustnessResult:

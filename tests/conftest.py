@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from busfactor.coverage import _coverage_target, normalize_delta
 from busfactor.errors import DegenerateError, InfeasibleError
 from busfactor.generators import SWEEP_KINDS, SweepRow, SweepTable, make_rng
-from busfactor.graph import ProjectGraph, degree_order
+from busfactor.graph import ProjectGraph
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -19,8 +19,10 @@ from busfactor.optimize import (
     TraceRow,
 )
 from busfactor.robustness import (
+    DecayCurve,
     _area_numerator,
     _normalization,
+    _validate_sequence,
     bus_factor_greedy,
     decay_curve,
     greedy_order,
@@ -139,6 +141,59 @@ def z_worst_bruteforce(graph: ProjectGraph, target) -> int:
     return z
 
 
+def remove_people(graph: ProjectGraph, people) -> ProjectGraph:
+    """New graph without ``people``; tasks stay as (possibly isolated) nodes."""
+    gone = set(people)
+    for p in gone:
+        graph._require_person(p)
+    new = ProjectGraph.__new__(ProjectGraph)
+    new._people = {
+        p: set(adj) for p, adj in graph._people.items() if p not in gone
+    }
+    new._tasks = {t: adj - gone for t, adj in graph._tasks.items()}
+    new._n_edges = sum(len(adj) for adj in new._people.values())
+    return new
+
+
+def largest_task_component_size(graph: ProjectGraph) -> int:
+    """Tasks in the largest connected component that contains a person.
+
+    Degree-0 tasks sit in person-free components and never contribute;
+    a graph whose components all lack either a person or a task scores 0.
+    """
+    visited_p: set[int] = set()
+    best = 0
+    for start in graph._people:
+        if start in visited_p:
+            continue
+        stack = [start]
+        visited_p.add(start)
+        comp_tasks: set[int] = set()
+        while stack:
+            p = stack.pop()
+            for t in graph._people[p]:
+                if t not in comp_tasks:
+                    comp_tasks.add(t)
+                    for q in graph._tasks[t]:
+                        if q not in visited_p:
+                            visited_p.add(q)
+                            stack.append(q)
+        if len(comp_tasks) > best:
+            best = len(comp_tasks)
+    return best
+
+
+def decay_curve_naive(graph: ProjectGraph, order) -> DecayCurve:
+    """Reference decay curve by full recomputation after each removal."""
+    order = _validate_sequence(graph, order)
+    values = [largest_task_component_size(graph)]
+    current = graph
+    for p in order:
+        current = remove_people(current, [p])
+        values.append(largest_task_component_size(current))
+    return DecayCurve(tuple(values))
+
+
 def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
     """Greedy order re-ranked after every removal: decreasing degree in the
     remaining graph, ties to the smallest id. O(P^2) graph copies."""
@@ -150,7 +205,7 @@ def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
             key=lambda p: (-remaining.degree_of_person(p), p),
         )
         order.append(nxt)
-        remaining = remaining.remove_people([nxt])
+        remaining = remove_people(remaining, [nxt])
     return order
 
 
@@ -456,14 +511,18 @@ def checkpoint_graphs_reference(
             if i % stride == 0 or i == total_steps:
                 snapshots.append((i, working.copy()))
     elif kind == "duplicates":
-        order = degree_order(graph)
+        order = greedy_order(graph)
         if total_steps > len(order):
             notes.append(
                 f"cloning {total_steps} people wraps around the {len(order)} available"
             )
         working = graph.copy()
         for i in range(1, total_steps + 1):
-            working.clone_person(order[(i - 1) % len(order)])
+            original = order[(i - 1) % len(order)]
+            clone = working.fresh_person_id()
+            working.add_person(clone)
+            for t in working.tasks_of(original):
+                working.add_edge(clone, t)
             if i % stride == 0 or i == total_steps:
                 snapshots.append((i, working.copy()))
     else:

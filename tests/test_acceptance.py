@@ -34,11 +34,10 @@ from busfactor.robustness import (
     bus_factor_exact,
     bus_factor_greedy,
     decay_curve,
-    decay_curve_naive,
     robustness,
 )
 
-from conftest import random_bipartite, z_worst_bruteforce
+from conftest import decay_curve_naive, random_bipartite, z_worst_bruteforce
 
 DESK = dict(n_people=750, n_tasks=1000)
 RQ1_SEEDS = (0, 1, 2, 3, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import busfactor
+from busfactor import AnnealingConfig, GeneratorConfig, NullModelConfig, cli
 from busfactor.cli import main
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
@@ -247,6 +249,17 @@ def test_config_file_merging(tmp_path, fixture_path):
     bad.write_text(json.dumps({"no_such_flag": 1}))
     assert run("sweep", "--input", fixture_path, "--kind", "duplicates",
                "--config", bad, "--output", out) == 1
+
+
+def test_flag_defaults_follow_the_config_classes():
+    # one DEFAULTS entry per field name, so configs sharing a field (seed)
+    # must agree on its default
+    for config in (GeneratorConfig, NullModelConfig, AnnealingConfig):
+        for f in dataclasses.fields(config):
+            if f.default is not dataclasses.MISSING:
+                assert cli.DEFAULTS[f.name] == f.default, (config.__name__, f.name)
+    flags = set().union(*cli._flag_actions(cli.build_parser()).values())
+    assert set(cli.DEFAULTS) <= flags
 
 
 def test_missing_required_flag(fixture_path):

@@ -18,11 +18,16 @@ from busfactor.generators import (
     run_sweep,
     sparsify,
 )
-from busfactor.graph import ProjectGraph, degree_order
+from busfactor.graph import ProjectGraph
 from busfactor.io import render_edge_list
-from busfactor.robustness import bus_factor_greedy
+from busfactor.robustness import bus_factor_greedy, greedy_order
 
-from conftest import checkpoint_graphs_reference, random_bipartite, run_sweep_reference
+from conftest import (
+    checkpoint_graphs_reference,
+    largest_task_component_size,
+    random_bipartite,
+    run_sweep_reference,
+)
 
 
 def test_generate_shape_and_determinism():
@@ -160,7 +165,7 @@ def test_add_duplicates(four_edge_graph):
 
 def test_duplication_order():
     g = ProjectGraph(edges=[(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
-    assert degree_order(g) == [2, 3, 1]
+    assert greedy_order(g) == [2, 3, 1]
 
 
 def test_duplicate_raises_silo_robustness():
@@ -189,7 +194,7 @@ def test_disjoint_union(four_edge_graph, two_stars):
     assert merged.n_people == four_edge_graph.n_people + two_stars.n_people
     assert merged.n_tasks == four_edge_graph.n_tasks + two_stars.n_tasks
     assert merged.n_edges == four_edge_graph.n_edges + two_stars.n_edges
-    assert merged.largest_task_component_size() == 3  # blocks stay disjoint
+    assert largest_task_component_size(merged) == 3  # blocks stay disjoint
 
 
 def test_run_sweep_rows_and_reproducibility(four_edge_graph):
