@@ -12,8 +12,10 @@ temperature-controlled probability.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import DegenerateError
 from .generators import make_rng
@@ -26,9 +28,17 @@ from .graph import (
     require_nondegenerate,
     thaw,
 )
-from .robustness import DecayCurve, bus_factor_greedy, insertion_area, _normalization
+from .robustness import (
+    DecayCurve,
+    InsertionState,
+    bus_factor_greedy,
+    insertion_area,
+    insertion_maxima,
+    _normalization,
+)
 
 _DRAW_PAIRS = 1 << 13  # swap attempts per draw chunk; bounds null_sample's memory
+_SEGMENTS = 4  # saved kernel states per annealing chain
 
 
 @dataclass(frozen=True)
@@ -76,9 +86,11 @@ def null_sample(
 
     The swaps run on the :meth:`ProjectGraph.freeze` view: edge ``i``, in
     the canonical (person, task) order the draws index into, keeps its
-    person slot ``owner[i]`` for good (a swap exchanges tasks only) and
-    holds task index ``task[i]``; the per-person task sets ``held`` answer
-    the crossed-edge checks. No graph is built unless ``.graph`` is read.
+    person's task set ``owned[i]`` (one of ``held``) for good, as a swap
+    exchanges tasks only, and holds task index ``task[i]``. Since
+    ``task[i]`` is always in ``owned[i]``, the crossed-edge check
+    ``task[j] in owned[i]`` also rejects ``i == j``, a shared person and a
+    shared task. No graph is built unless ``.graph`` is read.
     ``frozen`` is ``graph.freeze()``, for callers that draw many samples.
 
     The ``2 * attempts`` edge draws are streamed in chunks of at most
@@ -91,7 +103,7 @@ def null_sample(
     m = graph.n_edges
     if m < 2:
         return SwapResult(people, tasks, held, attempts=0, swaps=0)
-    owner = [k for k, own in enumerate(adjacency) for _ in own]
+    owned = [own for own in held for _ in own]
     task = [t for own in adjacency for t in own]
     attempts = config.swaps_per_edge * m
     rng = make_rng(config.seed, sample_index)
@@ -100,13 +112,8 @@ def null_sample(
         pairs = min(_DRAW_PAIRS, attempts - start)
         draws = iter(rng.integers(0, m, size=2 * pairs).tolist())
         for i, j in zip(draws, draws):
-            p1, p2 = owner[i], owner[j]
-            if p1 == p2:  # also covers i == j
-                continue
             t1, t2 = task[i], task[j]
-            if t1 == t2:
-                continue
-            own1, own2 = held[p1], held[p2]
+            own1, own2 = owned[i], owned[j]
             if t2 in own1 or t1 in own2:
                 continue
             own1.remove(t1)
@@ -161,6 +168,7 @@ def _null_objectives(
     for i in range(start, stop):
         held = null_sample(graph, config, i, frozen).held
         values.append(insertion_area(n_tasks, [held[k] for k in reinsertion]) / denom)
+        del held  # free this sample's sets before the next one is drawn
     return values
 
 
@@ -285,9 +293,15 @@ def anneal(
     pins the greedy removal order once and for all.
 
     The chain runs on dense indices: people sit at fixed slots in
-    reinsertion order (the greedy order reversed), so each candidate is
-    scored by one :func:`insertion_area` pass over the slots, and a
-    graph is built once, from the best edge list, at the end.
+    reinsertion order (the greedy order reversed), scored by the
+    :func:`insertion_maxima` kernel, and a graph is built once, from the
+    best edge list, at the end. The slots fall into ``_SEGMENTS`` segments
+    of about equal edge shares, fixed as degrees are, and the kernel state
+    at each segment start is kept for the current assignment. A move at
+    slot ``k`` resumes from its segment's state and inserts the slots
+    before ``k``. If the move then joins the same components as before, no
+    later maximum changes and the area stands; otherwise the kernel runs
+    on to the end, saving the new segment states for an accepted move.
     """
     config.validate()
     if graph.n_edges < 1:
@@ -312,9 +326,14 @@ def anneal(
     ):
         return graph.copy(), AnnealingTrace()
 
+    starts = _segment_starts(held)
+    segment = [bisect_right(starts, k) - 1 for k in range(len(held))]
+    state = InsertionState.empty(n_tasks)
+    saved = [state.copy(), *_insert_from(state, held, 0, starts[1:])]  # one per start
+
     rng = make_rng(config.seed)
     denom = _normalization(len(people), n_tasks)
-    current_area = best_area = insertion_area(n_tasks, held)
+    current_area = best_area = state.area()
     best_edges = list(edges)
     trace = AnnealingTrace()
 
@@ -335,10 +354,19 @@ def anneal(
                 t_new = int(rng.integers(n_tasks))
             own.remove(t)
             own.add(t_new)
-            candidate_area = insertion_area(n_tasks, held)
+            j = segment[k]
+            state = saved[j].copy()
+            insertion_maxima(state, held[starts[j]:k])
+            if _joins_same_components(state, own, t, t_new):
+                candidate_area, later = current_area, None
+            else:
+                later = _insert_from(state, held, k, starts[j + 1:])
+                candidate_area = state.area()
             delta = (candidate_area - current_area) / denom
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
                 current_area = candidate_area
+                if later is not None:
+                    saved[j + 1:] = later
                 edges[i] = (k, t_new)
                 task_degree[t] -= 1
                 task_degree[t_new] += 1
@@ -362,6 +390,45 @@ def anneal(
         edges=((people[reinsertion[k]], tasks[t]) for k, t in best_edges),
     )
     return best, trace
+
+
+def _segment_starts(held: list[set[int]]) -> list[int]:
+    """First slot of each of the ``_SEGMENTS`` segments: segment ``j``
+    starts at the first slot with ``j / _SEGMENTS`` of the edges before it.
+    A person holding more than a share leaves the segments after theirs
+    empty, starting where the next one does."""
+    reached = list(accumulate((len(own) * _SEGMENTS for own in held), initial=0))
+    return [bisect_left(reached, j * reached[-1] // _SEGMENTS) for j in range(_SEGMENTS)]
+
+
+def _insert_from(
+    state: InsertionState, held: list[set[int]], k: int, starts: list[int]
+) -> list[InsertionState]:
+    """Insert ``held[k:]`` into ``state``, returning a copy of it at each
+    of ``starts`` (ascending, none before ``k``)."""
+    states = []
+    for start in starts:
+        insertion_maxima(state, held[k:start])
+        states.append(state.copy())
+        k = start
+    insertion_maxima(state, held[k:])
+    return states
+
+
+def _joins_same_components(
+    state: InsertionState, own: set[int], t: int, t_new: int
+) -> bool:
+    """Whether inserting ``own``, which holds ``t_new`` in place of ``t``,
+    into ``state`` merges the same components as inserting it with ``t``:
+    true when ``t`` and ``t_new`` share a component, or both share one
+    with the person's other tasks. The partition after the insertion, and
+    so every later maximum, is then the same."""
+    root = state.root
+    rt, rn = root(t), root(t_new)
+    if rt == rn:
+        return True
+    others = {root(u) for u in own if u != t_new}
+    return rt in others and rn in others
 
 
 def _restart(graph: ProjectGraph, config: AnnealingConfig):

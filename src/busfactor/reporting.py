@@ -142,12 +142,23 @@ def decay_csv(result: RobustnessResult, manifest: RunManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _FloatText(dict):
+    """``fmt_float`` of each key, worked out on first lookup. Keys compare
+    by value, so 0.0 and -0.0 would share a text; callers hold neither or
+    only one of them."""
+
+    def __missing__(self, value: float) -> str:
+        self[value] = text = fmt_float(value)
+        return text
+
+
 def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> str:
+    """One row per accepted step. A chain has few distinct temperatures and
+    best objectives, so each is formatted once."""
     lines = [manifest.comment_line(), "step,temperature,objective"]
+    text = _FloatText()  # temperatures are positive, objectives non-negative
     for row in trace.rows:
-        lines.append(
-            f"{row.step},{fmt_float(row.temperature)},{fmt_float(row.objective)}"
-        )
+        lines.append(f"{row.step},{text[row.temperature]},{text[row.objective]}")
     return "\n".join(lines) + "\n"
 
 

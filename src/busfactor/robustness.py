@@ -14,7 +14,13 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .graph import PersonId, ProjectGraph, degree_slots, require_nondegenerate
+from .graph import (
+    FrozenGraph,
+    PersonId,
+    ProjectGraph,
+    degree_slots,
+    require_nondegenerate,
+)
 
 EXACT_GUARD = 8  # permutation enumeration refuses larger people sets
 
@@ -36,12 +42,46 @@ class RobustnessResult:
     curve: DecayCurve
 
 
+@dataclass(slots=True)
+class InsertionState:
+    """Where :func:`insertion_maxima` stands after some insertions: the
+    disjoint-set forest over the tasks (``parent``, and ``count``, the task
+    count at each root), the running maximum ``best`` and ``total``, the
+    sum of the maxima so far."""
+
+    parent: list[int]
+    count: list[int]
+    best: int = 0
+    total: int = 0
+
+    @classmethod
+    def empty(cls, n_tasks: int) -> InsertionState:
+        """``n_tasks`` isolated tasks, nobody inserted yet."""
+        return cls(list(range(n_tasks)), [1] * n_tasks)
+
+    def copy(self) -> InsertionState:
+        return InsertionState(self.parent.copy(), self.count.copy(), self.best, self.total)
+
+    def root(self, t: int) -> int:
+        """The root of task ``t``'s component, halving its path as the
+        kernel does."""
+        parent = self.parent
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    def area(self) -> int:
+        """Integer trapezoid area of the decay curve once everyone is back
+        in: the maxima reversed, then 0, give twice their sum less the last."""
+        return 2 * self.total - self.best
+
+
 def insertion_maxima(
-    n_tasks: int, reinserted: Iterable[Iterable[int]]
+    state: InsertionState, reinserted: Iterable[Iterable[int]]
 ) -> list[int]:
     """Running maximum of the largest component's task count as people are
-    inserted back, one per entry of ``reinserted`` (their dense task
-    indices), into the graph of ``n_tasks`` isolated tasks.
+    inserted back into ``state``, one per entry of ``reinserted`` (their
+    dense task indices); ``state`` is advanced in place.
 
     Newman-Ziff style reverse percolation: a disjoint-set forest over the
     tasks alone, with path halving and union by task count. A person joins
@@ -49,10 +89,8 @@ def insertion_maxima(
     component, which never raises the maximum. Components only merge and
     grow, so a running maximum is the largest component after each step.
     """
-    parent = list(range(n_tasks))
-    count = [1] * n_tasks
+    parent, count, best = state.parent, state.count, state.best
     maxima = []
-    best = 0
     for tasks in reinserted:
         root = -1
         for t in tasks:
@@ -68,14 +106,17 @@ def insertion_maxima(
         if root >= 0 and count[root] > best:
             best = count[root]
         maxima.append(best)
+    state.best = best
+    state.total += sum(maxima)
     return maxima
 
 
 def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
-    """Integer trapezoid area of the decay curve of ``reinserted`` (its
-    :func:`insertion_maxima` reversed, then 0): twice their sum less the last."""
-    maxima = insertion_maxima(n_tasks, reinserted)
-    return 2 * sum(maxima) - maxima[-1]
+    """:meth:`InsertionState.area` of ``reinserted`` inserted into
+    ``n_tasks`` isolated tasks."""
+    state = InsertionState.empty(n_tasks)
+    insertion_maxima(state, reinserted)
+    return state.area()
 
 
 def _validate_sequence(graph: ProjectGraph, order: RemovalSequence) -> list[PersonId]:
@@ -93,10 +134,17 @@ def decay_curve(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
     backwards, ending at 0 once everyone is gone.
     """
     order = _validate_sequence(graph, order)
-    people, tasks, adjacency = graph.freeze()
-    position = {p: i for i, p in enumerate(people)}
+    frozen = graph.freeze()
+    position = {p: i for i, p in enumerate(frozen.people)}
+    return _removal_curve(frozen, [position[p] for p in order])
+
+
+def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> DecayCurve:
+    """Decay curve of removing ``frozen.people[k]`` for each ``k`` of
+    ``slots`` in turn, which must list every slot once."""
+    adjacency = frozen.adjacency
     maxima = insertion_maxima(
-        len(tasks), [adjacency[position[p]] for p in reversed(order)]
+        InsertionState.empty(len(frozen.tasks)), [adjacency[k] for k in reversed(slots)]
     )
     return DecayCurve((*reversed(maxima), 0))
 
@@ -138,10 +186,12 @@ def greedy_order(graph: ProjectGraph) -> list[PersonId]:
 def bus_factor_greedy(graph: ProjectGraph) -> RobustnessResult:
     """Upper bound on worst-case robustness via the degree-order heuristic."""
     require_nondegenerate(graph)
-    order = greedy_order(graph)
-    curve = decay_curve(graph, order)
+    frozen = graph.freeze()
+    slots = degree_slots(frozen.adjacency)  # the greedy_order of graph
+    curve = _removal_curve(frozen, slots)
     value = _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
-    return RobustnessResult(value=value, sequence=tuple(order), curve=curve)
+    sequence = tuple(frozen.people[k] for k in slots)
+    return RobustnessResult(value=value, sequence=sequence, curve=curve)
 
 
 def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:

@@ -200,6 +200,19 @@ def test_optimize_outputs(tmp_path):
     assert len(decay_lines) == 2 + silo.n_people + 1
 
 
+def test_trace_csv_renders_every_row():
+    from busfactor.optimize import AnnealingTrace, TraceRow
+    from busfactor.reporting import RunManifest, fmt_float, trace_csv
+
+    manifest = RunManifest("optimize", {}, 0, None, "0")
+    values = [(0.05, 0.25), (0.05, 0.25), (0.05, 1 / 3), (0.0475, 1 / 3), (1e-4, 1.0)]
+    rows = [TraceRow(i, t, o) for i, (t, o) in enumerate(values, start=1)]
+    want = [manifest.comment_line(), "step,temperature,objective"] + [
+        f"{r.step},{fmt_float(r.temperature)},{fmt_float(r.objective)}" for r in rows
+    ]
+    assert trace_csv(AnnealingTrace(rows), manifest) == "\n".join(want) + "\n"
+
+
 def test_decay_command(tmp_path, fixture_path):
     out = tmp_path / "decay.csv"
     assert run("decay", "--input", fixture_path, "--output", out) == 0

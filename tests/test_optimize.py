@@ -2,10 +2,11 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from busfactor import optimize
@@ -225,6 +226,23 @@ def test_null_sample_memory_does_not_grow_with_swaps():
     assert abs(peak(40) - peak(2)) < 1 << 20
 
 
+def test_null_objectives_hold_one_sample_at_a_time():
+    g = generate_powerlaw(GeneratorConfig(n_people=750, n_tasks=1000, seed=42))
+    config = NullModelConfig(n_samples=1, swaps_per_edge=1)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            optimize._null_objectives(g, config, 0, samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up
+    # two samples' task sets alive at once would add about 350 kB
+    assert peak(3) - peak(1) < 64 << 10
+
+
 def test_null_objectives_match_reference():
     g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=12))
     cfg = NullModelConfig(n_samples=1, seed=4)
@@ -412,6 +430,43 @@ def test_anneal_matches_reference_two_silo():
     config = AnnealingConfig(steps_per_temperature=10, seed=7)
     got, trace = anneal(silo, config)
     want, want_trace = anneal_reference(silo, config)
+    assert trace.rows == want_trace.rows
+    assert got == want
+
+
+def test_segment_starts_split_the_edges_evenly(monkeypatch):
+    # isolated people come first in reinsertion order, at the first start
+    held = [set(), {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}]
+    assert optimize._segment_starts(held) == [0, 3, 5, 7]
+    # a hub holding most edges leaves the segments after its own empty
+    assert optimize._segment_starts([set(), {1}, {1, 2, 3, 4, 5, 6}]) == [0, 3, 3, 3]
+    monkeypatch.setattr(optimize, "_SEGMENTS", 1)
+    assert optimize._segment_starts(held) == [0]
+
+
+HUB = ProjectGraph(
+    people=range(7),
+    tasks=range(6),
+    edges=[(5, t) for t in range(5)] + [(4, 0), (3, 1), (3, 2)],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs(), st.sampled_from([1, 2, 4, 40]), st.integers(0, 1000))
+@example(HUB, 4, 0)
+@example(HUB, 40, 1)
+def test_anneal_matches_reference_property(graph, segments, seed):
+    # isolated people and tasks, and empty segments (a hub, or more
+    # segments than people) sharing a start with the next
+    config = replace(SHORT_SA, cooling_rate=0.5, steps_per_temperature=15, seed=seed)
+    with mock.patch.object(optimize, "_SEGMENTS", segments):
+        try:
+            want, want_trace = anneal_reference(graph, config)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                anneal(graph, config)
+            return
+        got, trace = anneal(graph, config)
     assert trace.rows == want_trace.rows
     assert got == want
 
