@@ -105,12 +105,6 @@ class ProjectGraph:
             for t in sorted(self._people[p]):
                 yield p, t
 
-    def person_degrees(self) -> dict[PersonId, int]:
-        return {p: len(adj) for p, adj in self._people.items()}
-
-    def task_degrees(self) -> dict[TaskId, int]:
-        return {t: len(adj) for t, adj in self._tasks.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectGraph):
             return NotImplemented

@@ -299,9 +299,15 @@ def anneal(
     of about equal edge shares, fixed as degrees are, and the kernel state
     at each segment start is kept for the current assignment. A move at
     slot ``k`` resumes from its segment's state and inserts the slots
-    before ``k``. If the move then joins the same components as before, no
-    later maximum changes and the area stands; otherwise the kernel runs
-    on to the end, saving the new segment states for an accepted move.
+    before ``k``. If the move then joins the same components as before (as
+    it always does for a person with one task), no later maximum changes
+    and the area stands. Otherwise the kernel runs on, copying its state at
+    each later start, until the partition rejoins the current one at a
+    start: from there every maximum is the current one, so the area moves
+    by twice the gap between the two sums of maxima. An accepted move
+    takes the copies in place of the saved states before that start and
+    shifts the sums of those from it on; without a rejoin it takes the
+    copies and the area of a full pass.
     """
     config.validate()
     if graph.n_edges < 1:
@@ -329,7 +335,7 @@ def anneal(
     starts = _segment_starts(held)
     segment = [bisect_right(starts, k) - 1 for k in range(len(held))]
     state = InsertionState.empty(n_tasks)
-    saved = [state.copy(), *_insert_from(state, held, 0, starts[1:])]  # one per start
+    saved = [state.copy(), *_insert_from(state, held, 0, starts[1:])[0]]  # one per start
 
     rng = make_rng(config.seed)
     denom = _normalization(len(people), n_tasks)
@@ -358,15 +364,20 @@ def anneal(
             state = saved[j].copy()
             insertion_maxima(state, held[starts[j]:k])
             if _joins_same_components(state, own, t, t_new):
-                candidate_area, later = current_area, None
+                later, shift = [], 0
             else:
-                later = _insert_from(state, held, k, starts[j + 1:])
-                candidate_area = state.area()
+                later, shift = _insert_from(
+                    state, held, k, starts[j + 1:], (saved[j + 1:], t, t_new)
+                )
+            candidate_area = state.area() if shift is None else current_area + 2 * shift
             delta = (candidate_area - current_area) / denom
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
                 current_area = candidate_area
-                if later is not None:
-                    saved[j + 1:] = later
+                kept = j + 1 + len(later)
+                saved[j + 1:kept] = later
+                if shift:
+                    for kept_state in saved[kept:]:
+                        kept_state.total += shift
                 edges[i] = (k, t_new)
                 task_degree[t] -= 1
                 task_degree[t_new] += 1
@@ -402,17 +413,34 @@ def _segment_starts(held: list[set[int]]) -> list[int]:
 
 
 def _insert_from(
-    state: InsertionState, held: list[set[int]], k: int, starts: list[int]
-) -> list[InsertionState]:
-    """Insert ``held[k:]`` into ``state``, returning a copy of it at each
-    of ``starts`` (ascending, none before ``k``)."""
+    state: InsertionState,
+    held: list[set[int]],
+    k: int,
+    starts: list[int],
+    rejoin: tuple[list[InsertionState], int, int] | None = None,
+) -> tuple[list[InsertionState], int | None]:
+    """Insert ``held[k:]`` into ``state``, copying it at each of ``starts``
+    (ascending, none before ``k``). Returns the copies and ``None``.
+
+    ``rejoin`` is ``(current, t, t_new)`` when ``held[k]`` holds ``t_new``
+    in place of ``t``, with ``current[n]`` the kernel state at
+    ``starts[n]`` without that move. The insertion then stops at the first
+    start where ``t`` and ``t_new`` share a component in both states: for
+    a person with other tasks the two partitions are then equal, so every
+    later maximum is too. It returns the copies made before that start and
+    how far ``state.total`` runs ahead of ``current``'s there."""
     states = []
-    for start in starts:
+    for n, start in enumerate(starts):
         insertion_maxima(state, held[k:start])
+        if rejoin is not None:
+            current, t, t_new = rejoin
+            root, now = state.root, current[n].root
+            if root(t) == root(t_new) and now(t) == now(t_new):
+                return states, state.total - current[n].total
         states.append(state.copy())
         k = start
     insertion_maxima(state, held[k:])
-    return states
+    return states, None
 
 
 def _joins_same_components(
@@ -422,7 +450,14 @@ def _joins_same_components(
     into ``state`` merges the same components as inserting it with ``t``:
     true when ``t`` and ``t_new`` share a component, or both share one
     with the person's other tasks. The partition after the insertion, and
-    so every later maximum, is then the same."""
+    so every later maximum, is then the same.
+
+    A person with no other task joins nothing, and the maximum after
+    their insertion is the same too: ``state.best``, or 1 if that is 0,
+    since every component of two or more tasks was formed by an earlier
+    insertion and is at most ``best``."""
+    if len(own) == 1:
+        return True
     root = state.root
     rt, rn = root(t), root(t_new)
     if rt == rn:

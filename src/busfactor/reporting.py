@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 
 from .generators import SweepTable
@@ -71,17 +72,6 @@ def _write_json(obj, out: list[str], indent: int | None, level: int) -> None:
         out.append(closing_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
-
-
-def _json_string(text: str) -> str:
-    escaped = (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,14 @@ def random_bipartite(
     return graph
 
 
+def degree_maps(graph: ProjectGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Each person's degree and each task's degree."""
+    return (
+        {p: graph.degree_of_person(p) for p in graph.people},
+        {t: graph.degree_of_task(t) for t in graph.tasks},
+    )
+
+
 @st.composite
 def sparse_graphs(draw) -> ProjectGraph:
     """Sparse non-contiguous ids declared in any order, isolated nodes on
@@ -388,9 +396,8 @@ def mcs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
     """People removed in decreasing degree order, ties to the smallest id,
     until coverage drops below the rational target."""
     target = _coverage_target(graph, delta)
-    degrees = graph.person_degrees()
+    degrees, live = degree_maps(graph)
     order = sorted(degrees, key=lambda p: (-degrees[p], p))
-    live = graph.task_degrees()
     covered = graph.covered_task_count()
     removed: set[int] = set()
     for p in order:

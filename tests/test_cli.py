@@ -14,6 +14,8 @@ from busfactor.cli import main
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
 
+from conftest import degree_maps
+
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
 
@@ -189,7 +191,7 @@ def test_optimize_outputs(tmp_path):
     assert code == 0
 
     optimized = load_edge_list(tmp_path / "opt.graph.csv")
-    assert optimized.person_degrees() == silo.person_degrees()
+    assert degree_maps(optimized)[0] == degree_maps(silo)[0]
     assert bus_factor_greedy(optimized).value > bus_factor_greedy(silo).value
 
     trace_lines = (tmp_path / "opt.trace.csv").read_text().splitlines()
@@ -306,6 +308,36 @@ def test_config_values_get_flag_checks(tmp_path, fixture_path, config, code):
     path.write_text(json.dumps(config))
     assert run("nulltest", "--input", fixture_path, "--samples", 4, "--config", path,
                "--output", tmp_path / "null.json") == code
+
+
+def test_canonical_json_escapes_every_control_character():
+    from busfactor.reporting import canonical_json
+
+    for code in range(0x20):
+        text = f"a{chr(code)}b\\\""
+        for indent in (2, None):
+            assert json.loads(canonical_json({text: [text]}, indent)) == {text: [text]}
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_reports_stay_json_with_control_characters_in_delta(
+    tmp_path, fixture_path, via_config
+):
+    # Fraction strips trailing whitespace such as \x0b and \x1f; the
+    # manifest records the raw text
+    out = tmp_path / "report.json"
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"delta": "0.5\u001f"}))
+        args, delta = ["--config", config], "0.5\x1f"
+    else:
+        args, delta = ["--delta", "0.5\x0b"], "0.5\x0b"
+    assert run("analyze", "--input", fixture_path, *args, "--output", out) == 0
+    report = json.loads(out.read_text())
+    assert report["manifest"]["parameters"]["delta"] == delta
+    decay = tmp_path / "report.json.decay.csv"
+    manifest = json.loads(decay.read_text().splitlines()[0][len("# manifest: "):])
+    assert manifest["parameters"]["delta"] == delta
 
 
 def test_non_utf8_input_is_input_error(tmp_path):

@@ -24,6 +24,7 @@ from busfactor.robustness import bus_factor_greedy, greedy_order
 
 from conftest import (
     checkpoint_graphs_reference,
+    degree_maps,
     largest_task_component_size,
     random_bipartite,
     run_sweep_reference,
@@ -35,8 +36,7 @@ def test_generate_shape_and_determinism():
     g = generate_powerlaw(cfg)
     assert g.n_people == 100
     assert g.n_tasks == 150
-    assert min(g.person_degrees().values()) >= 1
-    assert min(g.task_degrees().values()) >= 1
+    assert min(min(d.values()) for d in degree_maps(g)) >= 1
     again = generate_powerlaw(cfg)
     assert again == g
     assert render_edge_list(again) == render_edge_list(g)
@@ -44,8 +44,7 @@ def test_generate_shape_and_determinism():
 
 def test_generate_min_degree():
     g = generate_powerlaw(GeneratorConfig(n_people=40, n_tasks=30, min_degree=2, seed=1))
-    assert min(g.person_degrees().values()) >= 2
-    assert min(g.task_degrees().values()) >= 2
+    assert min(min(d.values()) for d in degree_maps(g)) >= 2
 
 
 def test_generate_min_degree_repair_is_pinned():
@@ -89,7 +88,7 @@ def fit_powerlaw_exponent(degrees: np.ndarray, k_min: int = 2) -> float:
 
 def test_generate_powerlaw_exponent_mle():
     g = generate_powerlaw(GeneratorConfig(n_people=750, n_tasks=1000, seed=5))
-    degrees = np.array(sorted(g.person_degrees().values()))
+    degrees = np.array(sorted(degree_maps(g)[0].values()))
     assert 2.0 <= fit_powerlaw_exponent(degrees) <= 3.0
 
 
