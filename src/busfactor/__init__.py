@@ -11,16 +11,11 @@ from .coverage import (
 )
 from .errors import BusFactorError, DegenerateError, InfeasibleError, ParseError
 from .generators import (
-    CheckpointSeries,
     GeneratorConfig,
     SweepTable,
-    add_duplicates,
-    add_singletons,
-    densify,
     disjoint_union,
     generate_powerlaw,
     run_sweep,
-    sparsify,
 )
 from .graph import ProjectGraph
 from .io import load_edge_list, parse_edge_list, render_edge_list, save_edge_list
@@ -49,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealingConfig",
     "BusFactorError",
-    "CheckpointSeries",
     "CoverageReport",
     "DecayCurve",
     "DegenerateError",
@@ -61,8 +55,6 @@ __all__ = [
     "ProjectGraph",
     "RobustnessResult",
     "SweepTable",
-    "add_duplicates",
-    "add_singletons",
     "anneal",
     "anneal_restarts",
     "bus_factor_exact",
@@ -71,7 +63,6 @@ __all__ = [
     "compare_decay",
     "coverage_report",
     "decay_curve",
-    "densify",
     "disjoint_union",
     "generate_powerlaw",
     "load_edge_list",
@@ -87,5 +78,4 @@ __all__ = [
     "robustness",
     "run_sweep",
     "save_edge_list",
-    "sparsify",
 ]

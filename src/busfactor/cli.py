@@ -221,7 +221,10 @@ def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
     config_path = given.pop("config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except (RecursionError, ValueError) as exc:
+                raise ParseError(f"--config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ParseError("--config file must contain a JSON object")
         for key, value in loaded.items():
@@ -407,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _merge_params(args, _flag_actions(parser))
         return _HANDLERS[args.command](params)
-    except (OSError, ParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)
         return 1
     except (InfeasibleError, DegenerateError) as exc:

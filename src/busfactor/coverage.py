@@ -34,12 +34,16 @@ def normalize_delta(delta: DeltaLike) -> Fraction:
     """Coerce a threshold to an exact fraction in (0, 1].
 
     Floats go through their shortest decimal repr, so a CLI-style ``0.55``
-    means exactly 55/100 rather than the nearest binary float.
+    means exactly 55/100 rather than the nearest binary float. Text other
+    than ``n/d`` is screened by ``float`` first, so that ``1e-50000000`` is
+    refused before ``Fraction`` builds its power of ten, and so is any
+    text that rounds to 0. ``Fraction`` strips the same whitespace.
     """
     if isinstance(delta, float):
-        value = Fraction(repr(delta))
-    else:
-        value = Fraction(delta)
+        delta = repr(delta)
+    if isinstance(delta, str) and "/" not in delta and not 0 < float(delta.strip()) <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    value = Fraction(delta)
     if not 0 < value <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     return value

@@ -1,4 +1,4 @@
-"""Synthetic heavy-tailed bipartite graphs and structural perturbations.
+"""Synthetic heavy-tailed bipartite graphs and perturbation sweeps.
 
 The generator draws person and task degree targets from truncated discrete
 power laws and wires the two sides with a bipartite Chung-Lu pass (pair
@@ -6,32 +6,28 @@ power laws and wires the two sides with a bipartite Chung-Lu pass (pair
 repair pass that tops up nodes below the minimum degree. Everything is
 deterministic for a given seed.
 
-Perturbations mimic managerial actions: densify/sparsify shift workload
-density edge by edge, singletons hire one-task specialists, duplicates
-clone existing contributors starting from the busiest. All four modify
-one dense state, built once from the graph's frozen view, in place.
-``run_sweep`` measures that state at fixed checkpoints as it reaches them
-and keeps no snapshot graph.
+``run_sweep`` perturbs a graph step by step, mimicking managerial actions:
+densify/sparsify shift workload density edge by edge, singletons hire
+one-task specialists, duplicates clone existing contributors starting from
+the busiest. Every kind modifies one dense state, built once from the
+graph's frozen view, in place; the sweep measures it at fixed checkpoints
+as it reaches them and keeps no snapshot graph.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
-from .errors import DegenerateError
-from .graph import ProjectGraph, degree_slots, require_nondegenerate, thaw
+from .graph import ProjectGraph, degree_slots, require_nondegenerate
 from .robustness import _normalization, insertion_area
 
 # numpy is imported inside the functions that use it, so that commands
 # that draw no random numbers (analyze, decay) never load it.
-
-logger = logging.getLogger(__name__)
 
 SWEEP_KINDS = ("densify", "sparsify", "singletons", "duplicates")
 
@@ -187,7 +183,7 @@ class _Perturbation:
             self.covered -= 1
 
     def add_person(self, tasks: Iterable[int]) -> None:
-        self.people.append(self.people[-1] + 1 if self.people else 0)
+        self.people.append(self.people[-1] + 1)
         self.held.append(set())
         for t in tasks:
             self.add_edge(len(self.held) - 1, t)
@@ -255,8 +251,6 @@ def _perturbation(
     else:
         order = degree_slots(state.held)
         if total_steps > len(order):
-            if not order:
-                raise DegenerateError("graph has no people")
             notes.append(
                 f"cloning {total_steps} people wraps around the {len(order)} available"
             )
@@ -276,69 +270,6 @@ def _checkpoints(
     for done, _ in enumerate(itertools.islice(modifications, steps), 1):
         if done % stride == 0 or done == steps:
             yield done
-
-
-def _perturbed(graph: ProjectGraph, kind: str, count: int, seed: int) -> ProjectGraph:
-    state, modifications, _, notes = _perturbation(graph, kind, count, seed)
-    for note in notes:
-        logger.warning(note)
-    for _ in itertools.islice(modifications, count):
-        pass
-    return thaw(state.people, state.tasks, state.held)
-
-
-def add_singletons(graph: ProjectGraph, count: int, seed: int = 0) -> ProjectGraph:
-    """Hire ``count`` one-task specialists on distinct uniformly-drawn tasks."""
-    return _perturbed(graph, "singletons", count, seed)
-
-
-def add_duplicates(graph: ProjectGraph, count: int) -> ProjectGraph:
-    """Clone the ``count`` busiest people; beyond everyone, wrap and reclone.
-
-    Cloning is deterministic (no randomness to seed): the order is fixed by
-    the original degrees.
-    """
-    return _perturbed(graph, "duplicates", count, 0)
-
-
-@dataclass
-class CheckpointSeries:
-    """Graph snapshots after each perturbation batch."""
-
-    graphs: list[ProjectGraph]
-    modifications: list[int]
-    truncated: bool = False
-
-
-def densify(
-    graph: ProjectGraph, batch_size: int, n_batches: int, seed: int = 0
-) -> CheckpointSeries:
-    """Add ``batch_size`` random absent edges per batch, snapshotting after
-    each; truncates with a flag when the graph saturates."""
-    return _series(graph, "densify", batch_size, n_batches, seed)
-
-
-def sparsify(
-    graph: ProjectGraph, batch_size: int, n_batches: int, seed: int = 0
-) -> CheckpointSeries:
-    """Remove ``batch_size`` random edges per batch, snapshotting after each;
-    truncates with a flag when no edges remain."""
-    return _series(graph, "sparsify", batch_size, n_batches, seed)
-
-
-def _series(
-    graph: ProjectGraph, kind: str, batch_size: int, n_batches: int, seed: int
-) -> CheckpointSeries:
-    if batch_size < 1 or n_batches < 1:
-        raise ValueError("batch_size and n_batches must be at least 1")
-    total = batch_size * n_batches
-    state, modifications, steps, _ = _perturbation(graph, kind, total, seed)
-    series = CheckpointSeries(graphs=[], modifications=[], truncated=steps < total)
-    for done in _checkpoints(modifications, steps, batch_size):
-        if done:
-            series.graphs.append(thaw(state.people, state.tasks, state.held))
-            series.modifications.append(done)
-    return series
 
 
 # -- metric sweeps --------------------------------------------------------------
@@ -383,8 +314,8 @@ def run_sweep(
     d = normalize_delta(delta)
     if total_steps < 1 or stride < 1:
         raise ValueError("total_steps and stride must be at least 1")
-    state, modifications, steps, notes = _perturbation(graph, kind, total_steps, seed)
     require_nondegenerate(graph)
+    state, modifications, steps, notes = _perturbation(graph, kind, total_steps, seed)
     table = SweepTable(kind=kind, delta=d, truncated=steps < total_steps, notes=notes)
     held, n_tasks = state.held, len(state.tasks)
     need = math.ceil(d * n_tasks)

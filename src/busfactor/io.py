@@ -37,13 +37,20 @@ def task_label(task: int) -> str:
     return f"t{task}"
 
 
+def _id_number(digits: str, line: int | None) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # longer than the interpreter's digit limit
+        raise ParseError(str(exc), line) from exc
+
+
 def _parse_person(field: str, line: int | None = None) -> int:
     m = _PERSON_RE.fullmatch(field)
     if not m:
         if _TASK_RE.fullmatch(field):
             raise ParseError(f"task id {field!r} in person column", line)
         raise ParseError(f"invalid person id {field!r}", line)
-    return int(m.group(1))
+    return _id_number(m.group(1), line)
 
 
 def _parse_task(field: str, line: int | None = None) -> int:
@@ -52,7 +59,7 @@ def _parse_task(field: str, line: int | None = None) -> int:
         if _PERSON_RE.fullmatch(field):
             raise ParseError(f"person id {field!r} in task column", line)
         raise ParseError(f"invalid task id {field!r}", line)
-    return int(m.group(1))
+    return _id_number(m.group(1), line)
 
 
 def parse_edge_list(data: str | bytes, fmt: str = "csv") -> ProjectGraph:
@@ -165,6 +172,8 @@ def _parse_json(data: str) -> ProjectGraph:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, long integers
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     for key in ("people", "tasks", "edges"):

@@ -206,17 +206,17 @@ def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:
             f"exact search refused: {graph.n_people} people exceeds the "
             f"{EXACT_GUARD}-person guard"
         )
-    best_area: int | None = None
-    best: tuple[tuple[PersonId, ...], DecayCurve] | None = None
-    for order in itertools.permutations(sorted(graph.people)):
-        curve = decay_curve(graph, order)
-        area = _area_numerator(curve)
-        if best_area is None or area < best_area:
-            best_area = area
-            best = (order, curve)
-    assert best is not None and best_area is not None
+    frozen = graph.freeze()
+    n_tasks, adjacency = len(frozen.tasks), frozen.adjacency
+    # slots are in id order, so permutations come in lexicographic id order
+    # and min keeps the first, the lexicographically smallest, least area
+    slots = min(
+        itertools.permutations(range(graph.n_people)),
+        key=lambda order: insertion_area(n_tasks, [adjacency[k] for k in reversed(order)]),
+    )
+    curve = _removal_curve(frozen, slots)
     return RobustnessResult(
-        value=best_area / _normalization(graph.n_people, graph.n_tasks),
-        sequence=best[0],
-        curve=best[1],
+        value=_area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks),
+        sequence=tuple(frozen.people[k] for k in slots),
+        curve=curve,
     )

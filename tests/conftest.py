@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 
 from busfactor.coverage import _coverage_target, normalize_delta
 from busfactor.errors import DegenerateError, InfeasibleError
-from busfactor.generators import SWEEP_KINDS, SweepRow, SweepTable, make_rng
-from busfactor.graph import ProjectGraph
+from busfactor.generators import (
+    SWEEP_KINDS,
+    SweepRow,
+    SweepTable,
+    _checkpoints,
+    _perturbation,
+    make_rng,
+)
+from busfactor.graph import ProjectGraph, thaw
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -543,6 +550,20 @@ def checkpoint_graphs_reference(
             seen.add(mods)
             deduped.append((mods, g))
     return deduped, truncated, notes
+
+
+def engine_snapshots(
+    graph: ProjectGraph, kind: str, steps: int, stride: int, seed: int = 0
+) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
+    """What :func:`checkpoint_graphs_reference` gives, from the sweep's own
+    engine: the state at each checkpoint thawed into a graph, whether the
+    material ran out, and the engine's notes."""
+    state, modifications, available, notes = _perturbation(graph, kind, steps, seed)
+    snapshots = [
+        (done, thaw(state.people, state.tasks, state.held))
+        for done in _checkpoints(modifications, available, stride)
+    ]
+    return snapshots, available < steps, notes
 
 
 def run_sweep_reference(

@@ -1,11 +1,15 @@
 import ast
+import contextlib
 import importlib
+import io
+import re
 from pathlib import Path
 
 import busfactor
 from busfactor.graph import ProjectGraph
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _module(name: str) -> ast.Module:
@@ -44,3 +48,61 @@ def test_public_api():
         assert callable(target), (module, function)
     for method, _ in ast.literal_eval(_assigned(tracing, "METHODS")):
         assert callable(getattr(ProjectGraph, method)), method
+
+
+def test_public_names_are_pinned():
+    # a change to the public surface must be an explicit edit here
+    assert busfactor.__all__ == [
+        "AnnealingConfig",
+        "BusFactorError",
+        "CoverageReport",
+        "DecayCurve",
+        "DegenerateError",
+        "GeneratorConfig",
+        "InfeasibleError",
+        "NullModelConfig",
+        "ParseError",
+        "PermutationTestResult",
+        "ProjectGraph",
+        "RobustnessResult",
+        "SweepTable",
+        "anneal",
+        "anneal_restarts",
+        "bus_factor_exact",
+        "bus_factor_greedy",
+        "calibrate_pvalues",
+        "compare_decay",
+        "coverage_report",
+        "decay_curve",
+        "disjoint_union",
+        "generate_powerlaw",
+        "load_edge_list",
+        "mcs_exact",
+        "mcs_greedy",
+        "mrs_exact",
+        "mrs_greedy",
+        "normalize_delta",
+        "null_sample",
+        "parse_edge_list",
+        "permutation_test",
+        "render_edge_list",
+        "robustness",
+        "run_sweep",
+        "save_edge_list",
+    ]
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    (block,) = re.findall(r"```python\n(.*?)```", library[: library.index("\n## ", 1)], re.S)
+    *_, last = block.strip().splitlines()
+    expected = last.split("#", 1)[1].strip()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().strip()
+    if expected.endswith("..."):
+        assert printed.startswith(expected.removesuffix("...")), (printed, expected)
+    else:
+        assert printed == expected

@@ -310,6 +310,53 @@ def test_config_values_get_flag_checks(tmp_path, fixture_path, config, code):
                "--output", tmp_path / "null.json") == code
 
 
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+long_integers = pytest.mark.skipif(
+    not 0 < _INT_DIGIT_LIMIT < 5000, reason="no integer digit limit below 5000"
+)
+_DEEP = "[" * 200_000
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "name, text, as_config",
+    [
+        ("deep.json", _DEEP, False),
+        ("deep.json", _DEEP, True),
+        pytest.param(
+            "long.json", f'{{"people": [], "tasks": [], "edges": [], "n": {_LONG}}}',
+            False, marks=long_integers,
+        ),
+        pytest.param("long.json", f'{{"seed": {_LONG}}}', True, marks=long_integers),
+        pytest.param("long.csv", f"person,task\np{_LONG},t1\n", False, marks=long_integers),
+    ],
+    ids=["deep-graph", "deep-config", "long-int-graph", "long-int-config", "long-csv-id"],
+)
+def test_malformed_input_files_are_input_errors(
+    tmp_path, capsys, fixture_path, name, text, as_config
+):
+    path = tmp_path / name
+    path.write_text(text)
+    source = ["--input", fixture_path, "--config", path] if as_config else ["--input", path]
+    assert run("analyze", *source, "--output", tmp_path / "report.json") == 1
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["1e-50000000", "0e99999999", "1e-400"])
+def test_delta_text_is_refused_before_fraction_expands_it(tmp_path, fixture_path, delta):
+    # in a subprocess with a timeout, so that a regression fails instead of
+    # hanging: Fraction builds 10**50000000 for the first text
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"delta": delta}))
+    analyze = ["-m", "busfactor.cli", "analyze", "--input", fixture_path,
+               "--output", tmp_path / "report.json"]
+    for source, code in ((["--delta", delta], 2), (["--config", config], 1)):
+        result = checkout_python(tmp_path, *analyze, *source, timeout=30)
+        assert result.returncode == code, result.stderr
+        assert "delta must be in (0, 1]" in result.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_canonical_json_escapes_every_control_character():
     from busfactor.reporting import canonical_json
 
@@ -423,17 +470,23 @@ print(",".join(m for m in ("numpy", "concurrent.futures.process") if m in sys.mo
 """
 
 
-def costly_modules_loaded(tmp_path, *argv) -> set[str]:
+def checkout_python(cwd, *argv, **run_options) -> subprocess.CompletedProcess:
+    """``python argv...`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(busfactor.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *map(str, argv)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
+        **run_options,
     )
+
+
+def costly_modules_loaded(tmp_path, *argv) -> set[str]:
+    result = checkout_python(tmp_path, "-c", _IMPORT_PROBE, *argv, check=True)
     return set(filter(None, result.stdout.splitlines()[-1].split(",")))
 
 

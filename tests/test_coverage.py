@@ -31,7 +31,10 @@ def test_normalize_delta():
     assert normalize_delta(0.5) == Fraction(1, 2)
     assert normalize_delta("0.55") == Fraction(11, 20)
     assert normalize_delta(1) == 1
-    for bad in (0, -0.1, 1.5, "0"):
+    assert normalize_delta("1/3") == Fraction(1, 3)
+    assert normalize_delta(" 0.5\x1f") == Fraction(1, 2)  # Fraction strips it
+    # "1e-400" is in (0, 1] but reads as float 0; the report would print 0.0
+    for bad in (0, -0.1, 1.5, "0", "1e-400", "1e400", "nan", "2/3e1"):
         with pytest.raises(ValueError):
             normalize_delta(bad)
 

@@ -10,21 +10,18 @@ from busfactor.errors import DegenerateError
 from busfactor.generators import (
     SWEEP_KINDS,
     GeneratorConfig,
-    add_duplicates,
-    add_singletons,
-    densify,
     disjoint_union,
     generate_powerlaw,
     run_sweep,
-    sparsify,
 )
 from busfactor.graph import ProjectGraph
 from busfactor.io import render_edge_list
-from busfactor.robustness import bus_factor_greedy, greedy_order
+from busfactor.robustness import greedy_order
 
 from conftest import (
     checkpoint_graphs_reference,
     degree_maps,
+    engine_snapshots,
     largest_task_component_size,
     random_bipartite,
     run_sweep_reference,
@@ -94,44 +91,45 @@ def test_generate_powerlaw_exponent_mle():
 
 def test_densify_counts():
     g = ProjectGraph(people=range(3), tasks=range(3))
-    series = densify(g, batch_size=2, n_batches=2, seed=0)
-    assert [h.n_edges for h in series.graphs] == [2, 4]
-    assert series.modifications == [2, 4]
-    assert not series.truncated
+    snapshots, truncated, _ = engine_snapshots(g, "densify", 4, 2)
+    assert [(mods, h.n_edges) for mods, h in snapshots] == [(0, 0), (2, 2), (4, 4)]
+    assert not truncated
     # node sets never change
-    assert all(sorted(h.people) == [0, 1, 2] for h in series.graphs)
+    assert all(sorted(h.people) == [0, 1, 2] for _, h in snapshots)
 
 
 def test_densify_saturation(k22):
-    series = densify(k22, batch_size=1, n_batches=1, seed=0)
-    assert series.truncated
-    assert series.graphs == []
+    snapshots, truncated, notes = engine_snapshots(k22, "densify", 1, 1)
+    assert truncated
+    assert snapshots == [(0, k22)]
+    assert notes == ["no further edges to modify after 0 steps"]
 
 
 def test_densify_determinism():
     g = ProjectGraph(people=range(5), tasks=range(5))
-    a = densify(g, 3, 3, seed=9)
-    b = densify(g, 3, 3, seed=9)
-    assert [x.n_edges for x in a.graphs] == [3, 6, 9]
-    assert all(x == y for x, y in zip(a.graphs, b.graphs))
+    a = engine_snapshots(g, "densify", 9, 3, seed=9)
+    b = engine_snapshots(g, "densify", 9, 3, seed=9)
+    assert [h.n_edges for _, h in a[0]] == [0, 3, 6, 9]
+    assert a == b
 
 
 def test_sparsify_counts(four_edge_graph):
-    series = sparsify(four_edge_graph, batch_size=4, n_batches=1, seed=0)
-    assert [h.n_edges for h in series.graphs] == [0]
-    assert not series.truncated
+    snapshots, truncated, _ = engine_snapshots(four_edge_graph, "sparsify", 4, 4)
+    assert [h.n_edges for _, h in snapshots] == [4, 0]
+    assert not truncated
 
-    series = sparsify(four_edge_graph, batch_size=3, n_batches=2, seed=0)
-    assert [h.n_edges for h in series.graphs] == [1, 0]
-    assert series.truncated  # second batch ran out after one removal
+    snapshots, truncated, _ = engine_snapshots(four_edge_graph, "sparsify", 6, 3)
+    assert [(mods, h.n_edges) for mods, h in snapshots] == [(0, 4), (3, 1), (4, 0)]
+    assert truncated  # second batch ran out after one removal
 
-    a = sparsify(four_edge_graph, 1, 2, seed=4)
-    b = sparsify(four_edge_graph, 1, 2, seed=4)
-    assert all(x == y for x, y in zip(a.graphs, b.graphs))
+    a = engine_snapshots(four_edge_graph, "sparsify", 2, 1, seed=4)
+    b = engine_snapshots(four_edge_graph, "sparsify", 2, 1, seed=4)
+    assert a == b
 
 
 def test_add_singletons(four_edge_graph):
-    out = add_singletons(four_edge_graph, 3, seed=1)
+    (_, before), (_, out) = engine_snapshots(four_edge_graph, "singletons", 3, 3, seed=1)[0]
+    assert before == four_edge_graph
     assert out.n_people == 5
     new_people = sorted(set(out.people) - set(four_edge_graph.people))
     assert [out.degree_of_person(p) for p in new_people] == [1, 1, 1]
@@ -141,25 +139,24 @@ def test_add_singletons(four_edge_graph):
     for p in four_edge_graph.people:
         assert out.degree_of_person(p) == four_edge_graph.degree_of_person(p)
 
-    assert add_singletons(four_edge_graph, 0) == four_edge_graph
     with pytest.raises(ValueError, match="singletons"):
-        add_singletons(four_edge_graph, 4)
+        run_sweep(four_edge_graph, "singletons", four_edge_graph.n_tasks + 1, 1)
 
 
 def test_add_duplicates(four_edge_graph):
-    out = add_duplicates(four_edge_graph, 1)
-    assert out.n_people == 3
-    assert out.tasks_of(3) == frozenset({1, 2})  # p1 cloned first (tie by id)
+    snapshots, _, notes = engine_snapshots(four_edge_graph, "duplicates", 5, 1)
+    cloned = dict(snapshots)
+    assert cloned[1].n_people == 3
+    assert cloned[1].tasks_of(3) == frozenset({1, 2})  # p1 cloned first (tie by id)
 
-    out = add_duplicates(four_edge_graph, 2)
-    assert out.n_people == 4
-    assert all(out.degree_of_task(t) >= 2 for t in out.tasks)
+    assert cloned[2].n_people == 4
+    assert all(cloned[2].degree_of_task(t) >= 2 for t in cloned[2].tasks)
 
-    wrapped = add_duplicates(four_edge_graph, 5)  # wraps past both people
-    assert wrapped.n_people == 7
+    assert cloned[5].n_people == 7  # wraps past both people
+    assert notes == ["cloning 5 people wraps around the 2 available"]
 
     with pytest.raises(DegenerateError, match="no people"):
-        add_duplicates(ProjectGraph(tasks=[1, 2]), 1)
+        run_sweep(ProjectGraph(tasks=[1, 2]), "duplicates", 1, 1)
 
 
 def test_duplication_order():
@@ -173,19 +170,15 @@ def test_duplicate_raises_silo_robustness():
         for s in (501, 502)
     ]
     silo = disjoint_union(*blocks)
-    before = bus_factor_greedy(silo).value
-    after = bus_factor_greedy(add_duplicates(silo, 1)).value
-    assert after > before
+    before, after = run_sweep(silo, "duplicates", 1, 1).rows
+    assert after.robustness > before.robustness
 
 
 def test_singletons_move_metrics_one_way(four_edge_graph):
-    from busfactor.coverage import mcs_greedy, mrs_greedy
-
-    g = four_edge_graph
-    grown = add_singletons(g, 3, seed=2)
-    assert len(mrs_greedy(grown, 0.5)) >= len(mrs_greedy(g, 0.5))
-    assert len(mcs_greedy(grown, 0.5)) >= len(mcs_greedy(g, 0.5))
-    assert bus_factor_greedy(grown).value <= bus_factor_greedy(g).value
+    before, grown = run_sweep(four_edge_graph, "singletons", 3, 3, seed=2).rows
+    assert grown.mrs_size >= before.mrs_size
+    assert grown.mcs_size >= before.mcs_size
+    assert grown.robustness <= before.robustness
 
 
 def test_disjoint_union(four_edge_graph, two_stars):
@@ -275,34 +268,25 @@ def test_densify_and_sparsify_match_reference_snapshots():
             edges=[pair for pair, kept in zip(pairs, keep) if kept],
         ))
     for g in graphs:
-        for series_of, kind in ((densify, "densify"), (sparsify, "sparsify")):
+        for kind in ("densify", "sparsify"):
             material = g.n_edges
             if kind == "densify":
                 material = g.n_people * g.n_tasks - g.n_edges
             batch = int(rng.integers(1, 40))
             n_batches = material // batch + int(rng.integers(1, 3))
             seed = int(rng.integers(1000))
-            series = series_of(g, batch, n_batches, seed)
-            snapshots, truncated, _ = checkpoint_graphs_reference(
-                g, kind, batch * n_batches, batch, seed
-            )
-            assert series.modifications == [mods for mods, _ in snapshots[1:]]
-            assert series.graphs == [h for _, h in snapshots[1:]]
-            assert series.truncated == truncated
+            args = (g, kind, batch * n_batches, batch, seed)
+            assert engine_snapshots(*args) == checkpoint_graphs_reference(*args)
 
 
 def test_single_shot_perturbations_match_reference():
+    # one checkpoint after all the steps, besides the baseline
     rng = np.random.default_rng(5)
     for _ in range(20):
         g = random_bipartite(rng, 8, 10)
         hires = int(rng.integers(1, g.n_tasks + 1))
         clones = int(rng.integers(1, 2 * g.n_people + 2))
         seed = int(rng.integers(1000))
-        (*_, (_, hired)), _, _ = checkpoint_graphs_reference(
-            g, "singletons", hires, hires, seed
-        )
-        (*_, (_, cloned)), _, _ = checkpoint_graphs_reference(
-            g, "duplicates", clones, clones, 0
-        )
-        assert add_singletons(g, hires, seed) == hired
-        assert add_duplicates(g, clones) == cloned
+        for kind, steps in (("singletons", hires), ("duplicates", clones)):
+            args = (g, kind, steps, steps, seed)
+            assert engine_snapshots(*args) == checkpoint_graphs_reference(*args)
