@@ -20,6 +20,7 @@ import itertools
 import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DegenerateError, InfeasibleError
@@ -34,13 +35,16 @@ def normalize_delta(delta: DeltaLike) -> Fraction:
     """Coerce a threshold to an exact fraction in (0, 1].
 
     Floats go through their shortest decimal repr, so a CLI-style ``0.55``
-    means exactly 55/100 rather than the nearest binary float. Text other
-    than ``n/d`` is screened by ``float`` first, so that ``1e-50000000`` is
-    refused before ``Fraction`` builds its power of ten, and so is any
-    text that rounds to 0. ``Fraction`` strips the same whitespace.
+    means exactly 55/100 rather than the nearest binary float, and a
+    ``Decimal`` through its exact text. Text other than ``n/d`` is screened
+    by ``float`` first, so that ``1e-50000000`` is refused before
+    ``Fraction`` builds its power of ten, and so is any text that rounds
+    to 0. ``Fraction`` strips the same whitespace.
     """
     if isinstance(delta, float):
         delta = repr(delta)
+    elif isinstance(delta, Decimal):
+        delta = str(delta)
     if isinstance(delta, str) and "/" not in delta and not 0 < float(delta.strip()) <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     value = Fraction(delta)

@@ -27,17 +27,131 @@ from .graph import ProjectGraph, degree_slots, require_nondegenerate
 from .robustness import _normalization, insertion_area
 
 # numpy is imported inside the functions that use it, so that commands
-# that draw no random numbers (analyze, decay) never load it.
+# that make no vectorised draws (analyze, decay, optimize, the edge and
+# duplicate sweeps) never load it.
 
 SWEEP_KINDS = ("densify", "sparsify", "singletons", "duplicates")
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream...) with a stable mapping."""
+    """Independent generator for (seed, stream...) with a stable mapping:
+    numpy's PCG64 seeded by ``SeedSequence([seed, *stream])``. The
+    vectorised draws use it; the scalar ones use :class:`ScalarDraws`,
+    which yields the same stream without numpy
+    (``tests/test_generators.py::test_scalar_draws_match_make_rng`` checks
+    this against the installed numpy)."""
     import numpy as np
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, *stream]))
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(hash_const: int, mult: int):
+    """``SeedSequence``'s word hash, whose multiplier steps on each call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ result >> 16
+
+
+class ScalarDraws:
+    """The draws of ``make_rng(seed, *stream)``, one at a time, in pure
+    Python: ``below(n)`` is ``int(rng.integers(n))`` and ``random()`` is
+    ``rng.random()``, interleaved in any order.
+
+    The state is rebuilt as numpy builds it: ``SeedSequence`` hashes the
+    32-bit words of ``seed`` and each ``stream`` value into a pool of four,
+    and the pool's ``generate_state(4, uint64)`` seeds PCG64's 128-bit LCG,
+    whose outputs are XSL-RR (O'Neill 2014). Bounded integers below
+    ``2**32`` are Lemire's method (Lemire 2019) on the outputs' 32-bit
+    halves, low half first, with the high half kept for the next such
+    draw; larger bounds take whole outputs. ``random()`` takes a whole
+    output and leaves a kept half alone. Equality with the installed numpy
+    is checked by ``tests/test_generators.py::test_scalar_draws_match_make_rng``.
+    """
+
+    def __init__(self, seed: int, *stream: int):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        words = []
+        for n in (seed, *stream):
+            if n < 0:
+                raise ValueError("expected non-negative integer")
+            words.append(n & _MASK32)
+            while n > _MASK32:
+                n >>= 32
+                words.append(n & _MASK32)
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        out = _hasher(0x8B51F9DD, 0x58F38DED)
+        state = [out(pool[i % 4]) for i in range(8)]
+        # uint64 words are little-endian pairs; PCG64 reads (high, low)
+        # pairs of them as its 128-bit seed and stream
+        seed128 = state[1] << 96 | state[0] << 64 | state[3] << 32 | state[2]
+        stream128 = state[5] << 96 | state[4] << 64 | state[7] << 32 | state[6]
+        self._inc = (stream128 << 1 | 1) & _MASK128
+        self._state = ((self._inc + seed128) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None  # the kept high half of the last 32-bit draw
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        x = (s >> 64 ^ s) & _MASK64
+        r = s >> 122
+        return (x >> r | x << 64 - r) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def below(self, n: int) -> int:
+        """A uniform integer in ``[0, n)``, as ``int(rng.integers(n))``."""
+        if n <= 1:
+            if n == 1:
+                return 0  # numpy draws nothing for an empty range
+            raise ValueError("high <= 0")
+        if n <= 1 << 32:
+            bits, draw = 32, self._next32
+        elif n <= 1 << 63:
+            bits, draw = 64, self._next64
+        else:
+            raise ValueError("high is out of bounds for int64")
+        mask, threshold = (1 << bits) - 1, (1 << bits) % n
+        m = draw() * n
+        while m & mask < threshold:  # the biased low products
+            m = draw() * n
+        return m >> bits
+
+    def random(self) -> float:
+        """A uniform float in ``[0, 1)``, as ``rng.random()``."""
+        return (self._next64() >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -189,19 +303,19 @@ class _Perturbation:
             self.add_edge(len(self.held) - 1, t)
 
 
-def _edge_additions(state: _Perturbation, rng: np.random.Generator) -> Iterator[None]:
+def _edge_additions(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
     """Adds one uniformly random absent pair per item; some must be left."""
     held, n_tasks = state.held, len(state.tasks)
     while True:
         for _ in range(200):
-            k = int(rng.integers(len(held)))
-            t = int(rng.integers(n_tasks))
+            k = rng.below(len(held))
+            t = rng.below(n_tasks)
             if t not in held[k]:
                 break
         else:
             # near saturation: the absent pair of uniform rank in canonical
             # order, located by the per-slot counts of absent tasks
-            rank = int(rng.integers(sum(n_tasks - len(own) for own in held)))
+            rank = rng.below(sum(n_tasks - len(own) for own in held))
             for k, own in enumerate(held):
                 if rank < n_tasks - len(own):
                     break
@@ -211,11 +325,11 @@ def _edge_additions(state: _Perturbation, rng: np.random.Generator) -> Iterator[
         yield
 
 
-def _edge_removals(state: _Perturbation, rng: np.random.Generator) -> Iterator[None]:
+def _edge_removals(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
     """Removes one uniformly random edge per item; some must be left."""
     edges = [(k, t) for k, own in enumerate(state.held) for t in sorted(own)]
     while True:
-        i = int(rng.integers(len(edges)))
+        i = rng.below(len(edges))
         k, t = edges[i]
         edges[i] = edges[-1]
         edges.pop()
@@ -240,10 +354,10 @@ def _perturbation(
     notes = []
     available = total_steps
     if kind == "densify":
-        modifications = _edge_additions(state, make_rng(seed))
+        modifications = _edge_additions(state, ScalarDraws(seed))
         available = graph.n_people * graph.n_tasks - graph.n_edges
     elif kind == "sparsify":
-        modifications = _edge_removals(state, make_rng(seed))
+        modifications = _edge_removals(state, ScalarDraws(seed))
         available = graph.n_edges
     elif kind == "singletons":
         picks = make_rng(seed).choice(graph.n_tasks, size=total_steps, replace=False)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 
 from .errors import DegenerateError
-from .generators import make_rng
+from .generators import ScalarDraws, make_rng
 from .graph import (
     FrozenGraph,
     PersonId,
@@ -172,14 +173,18 @@ def _null_objectives(
     return values
 
 
-def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
-    """``fn(*job)`` for each job, in order; at most one process per job."""
+def _map_jobs(fn, jobs: list[tuple], workers: int) -> Iterator:
+    """``fn(*job)`` for each job, yielded in order as the caller consumes
+    them, so that it need hold no result it has moved past; at most one
+    process per job."""
     workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
-    return [fn(*job) for job in jobs]
+            yield from pool.map(fn, *zip(*jobs))
+    else:
+        for job in jobs:
+            yield fn(*job)
 
 
 def null_objectives(
@@ -242,7 +247,7 @@ def calibrate_pvalues(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     jobs = [(graph, config, j) for j in range(trials)]
-    return _map_jobs(_calibration_trial, jobs, workers)
+    return list(_map_jobs(_calibration_trial, jobs, workers))
 
 
 # -- simulated annealing ---------------------------------------------------------
@@ -337,7 +342,7 @@ def anneal(
     state = InsertionState.empty(n_tasks)
     saved = [state.copy(), *_insert_from(state, held, 0, starts[1:])[0]]  # one per start
 
-    rng = make_rng(config.seed)
+    rng = ScalarDraws(config.seed)
     denom = _normalization(len(people), n_tasks)
     current_area = best_area = state.area()
     best_edges = list(edges)
@@ -348,16 +353,16 @@ def anneal(
     while temperature >= config.min_temperature:
         for _ in range(config.steps_per_temperature):
             step += 1
-            i = int(rng.integers(len(edges)))
+            i = rng.below(len(edges))
             k, t = edges[i]
             if task_degree[t] < 2:
                 continue  # would abandon t
             own = held[k]
             if len(own) >= n_tasks:
                 continue  # covers every task already
-            t_new = int(rng.integers(n_tasks))
+            t_new = rng.below(n_tasks)
             while t_new in own:
-                t_new = int(rng.integers(n_tasks))
+                t_new = rng.below(n_tasks)
             own.remove(t)
             own.add(t_new)
             j = segment[k]
@@ -481,8 +486,10 @@ def anneal_restarts(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     jobs = [(graph, replace(config, seed=config.seed + r)) for r in range(restarts)]
+    # max keeps a running best over the lazy results, the first of ties,
+    # so one finished chain is held besides the best, however many run
     results = _map_jobs(_restart, jobs, workers)
-    _, best, trace = max(results, key=lambda result: result[0])  # first of ties
+    _, best, trace = max(results, key=lambda result: result[0])
     return best, trace
 
 

@@ -357,6 +357,21 @@ def test_delta_text_is_refused_before_fraction_expands_it(tmp_path, fixture_path
     assert not (tmp_path / "report.json").exists()
 
 
+def test_decimal_delta_is_refused_before_fraction_expands_it(tmp_path):
+    # in a subprocess with a timeout, so that a regression fails instead of
+    # hanging: Fraction(Decimal("1e-50000000")) builds 10**50000000
+    probe = (
+        "from decimal import Decimal\n"
+        "from busfactor.coverage import normalize_delta\n"
+        "try:\n"
+        "    normalize_delta(Decimal('1e-50000000'))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = checkout_python(tmp_path, "-c", probe, timeout=30, check=True)
+    assert "delta must be in (0, 1]" in result.stdout
+
+
 def test_canonical_json_escapes_every_control_character():
     from busfactor.reporting import canonical_json
 
@@ -500,7 +515,7 @@ def costly_modules_loaded(tmp_path, *argv) -> set[str]:
         (
             ["sweep", "--input", "fixture.csv", "--kind", "densify", "--steps", 4,
              "--output", "s.csv"],
-            {"numpy"},
+            set(),
         ),
         (
             ["nulltest", "--input", "fixture.csv", "--samples", 4, "--workers", 1,
@@ -511,6 +526,26 @@ def costly_modules_loaded(tmp_path, *argv) -> set[str]:
             ["nulltest", "--input", "fixture.csv", "--samples", 4, "--workers", 2,
              "--output", "n.json"],
             {"concurrent.futures.process"},  # the workers draw, not the parent
+        ),
+        (
+            ["optimize", "--input", "fixture.csv", "--steps-per-temperature", 10,
+             "--output-prefix", "o"],
+            set(),
+        ),
+        (
+            ["sweep", "--input", "fixture.csv", "--kind", "sparsify", "--steps", 2,
+             "--output", "s.csv"],
+            set(),
+        ),
+        (
+            ["sweep", "--input", "fixture.csv", "--kind", "duplicates", "--steps", 2,
+             "--output", "s.csv"],
+            set(),
+        ),
+        (
+            ["sweep", "--input", "fixture.csv", "--kind", "singletons", "--steps", 2,
+             "--output", "s.csv"],
+            {"numpy"},
         ),
     ],
 )

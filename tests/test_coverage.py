@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,11 @@ def test_normalize_delta():
     for bad in (0, -0.1, 1.5, "0", "1e-400", "1e400", "nan", "2/3e1"):
         with pytest.raises(ValueError):
             normalize_delta(bad)
+    assert normalize_delta(Decimal("0.5")) == Fraction(1, 2)
+    assert normalize_delta(Decimal("5.5E-1")) == Fraction(11, 20)
+    for bad in ("0", "-0.5", "1.0000001", "1e-400", "NaN", "sNaN", "Infinity"):
+        with pytest.raises(ValueError):
+            normalize_delta(Decimal(bad))
 
 
 def test_mrs_greedy_examples(four_edge_graph, k22):

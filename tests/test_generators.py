@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from busfactor.errors import DegenerateError
 from busfactor.generators import (
     SWEEP_KINDS,
     GeneratorConfig,
+    ScalarDraws,
     disjoint_union,
     generate_powerlaw,
+    make_rng,
     run_sweep,
 )
 from busfactor.graph import ProjectGraph
@@ -26,6 +29,54 @@ from conftest import (
     random_bipartite,
     run_sweep_reference,
 )
+
+
+# Bounds at every branch of numpy's bounded draw: none drawn for 1, Lemire
+# on 32-bit halves up to 2**32 (rejecting about half and a quarter of the
+# time at 2**31 + 1 and 3 * 2**30), the raw half at 2**32, and 64-bit
+# Lemire above it.
+DRAW_BOUNDS = [1, 2, 130, 309, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**63]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**40), max_size=5).map(tuple),
+    # a bound for ``below``, or None for ``random``
+    st.lists(
+        st.one_of(st.none(), st.sampled_from(DRAW_BOUNDS), st.integers(1, 1000)),
+        max_size=60,
+    ),
+)
+@example(0, (), [None, 2**31 + 1] * 20)
+@example(9, (), [309, 130, None, 130] * 10)
+# library seeds of more than two 32-bit words, and streams like null_sample's
+@example(2**64, (0,), [None, *DRAW_BOUNDS, None, 309])
+@example(2**96 - 1, (3,), [3 * 2**30] * 40)
+@example(10**40, (1, 2, 3, 4, 5), DRAW_BOUNDS * 3)
+@example(3**80, (1, 2**33, 0, 7, 2**70), [None, 2**32 + 1, 2, None, 2**63])
+def test_scalar_draws_match_make_rng(seed, stream, draws):
+    ours, numpy_rng = ScalarDraws(seed, *stream), make_rng(seed, *stream)
+    for n in draws:
+        if n is None:
+            assert ours.random() == numpy_rng.random()
+        else:
+            assert ours.below(n) == int(numpy_rng.integers(n))
+    # what is left of the stream, a kept half included, is the same too
+    assert [ours.below(309) for _ in range(5)] == numpy_rng.integers(309, size=5).tolist()
+
+
+def test_scalar_draws_refuse_what_numpy_refuses():
+    draws = ScalarDraws(0)
+    for n in (0, -3, 2**63 + 1):
+        with pytest.raises(ValueError):
+            draws.below(n)
+        with pytest.raises(ValueError):
+            make_rng(0).integers(n)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        ScalarDraws(-1)
+    with pytest.raises(ValueError):
+        ScalarDraws(0, -1)
 
 
 def test_generate_shape_and_determinism():

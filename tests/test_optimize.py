@@ -351,6 +351,23 @@ def test_restarts_keep_the_best_chain_and_the_earliest_tie():
         assert trace.rows == first[1].rows
 
 
+def test_restarts_hold_the_best_chain_and_one_more():
+    g = two_silo()
+
+    def peak(restarts):
+        tracemalloc.start()
+        try:
+            anneal_restarts(g, SHORT_SA, restarts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up
+    # the best chain and the one just finished, about two chains' peak;
+    # holding all eight results until the end took 6.5 times one
+    assert peak(8) < 2 * peak(1)
+
+
 def test_anneal_preserves_person_degrees_and_coverage():
     silo = two_silo()
     optimized, trace = anneal(silo, SHORT_SA)
