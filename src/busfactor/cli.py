@@ -20,7 +20,7 @@ from . import __version__
 from .coverage import coverage_report, normalize_delta
 from .errors import DegenerateError, InfeasibleError, ParseError
 from .generators import GeneratorConfig, generate_powerlaw, run_sweep, SWEEP_KINDS
-from .graph import ProjectGraph
+from .graph import FrozenGraph, GraphLike
 from .io import file_format, graph_object, load_edge_list, person_label, render_edge_list
 from .optimize import (
     AnnealingConfig,
@@ -244,10 +244,10 @@ def _require(params: dict, *names: str) -> None:
             raise ParseError(f"missing required flag --{name.replace('_', '-')}")
 
 
-def _load_graph(params: dict) -> tuple[ProjectGraph, str]:
+def _load_graph(params: dict) -> tuple[FrozenGraph, str]:
     _require(params, "input")
     path = params["input"]
-    graph = load_edge_list(path, params.get("format"))
+    graph = load_edge_list(path, params.get("format")).freeze()
     return graph, digest_file(path)
 
 
@@ -301,14 +301,14 @@ def _cmd_generate(params: dict) -> int:
         min_degree=params["min_degree"],
         seed=params["seed"],
     )
-    graph = generate_powerlaw(config)
+    graph = generate_powerlaw(config).freeze()
     manifest = _manifest("generate", params, None)
     _write_graph(graph, params["output"], params.get("format"), manifest)
     return 0
 
 
 def _write_graph(
-    graph: ProjectGraph, path: str, fmt: str | None, manifest: RunManifest
+    graph: GraphLike, path: str, fmt: str | None, manifest: RunManifest
 ) -> None:
     if file_format(path, fmt) == "csv":
         write_text(path, manifest.comment_line() + "\n" + render_edge_list(graph, "csv"))

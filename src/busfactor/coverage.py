@@ -18,13 +18,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DegenerateError, InfeasibleError
-from .graph import PersonId, ProjectGraph, degree_slots, require_nondegenerate
+from .graph import GraphLike, PersonId, as_frozen, degree_slots, require_nondegenerate
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets
 
@@ -53,7 +53,7 @@ def normalize_delta(delta: DeltaLike) -> Fraction:
     return value
 
 
-def _coverage_target(graph: ProjectGraph, delta: DeltaLike) -> Fraction:
+def _coverage_target(graph: GraphLike, delta: DeltaLike) -> Fraction:
     require_nondegenerate(graph)
     return normalize_delta(delta) * graph.n_tasks
 
@@ -98,25 +98,26 @@ def greedy_critical(
     return len(order)
 
 
-def mrs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
+def mrs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     """Approximate maximum redundant set.
 
     Greedily grows a keep-set, always adding the person who covers the most
     still-uncovered tasks (ties to the smallest id), until the keep-set
     covers the target; everyone else is redundant.
     """
-    target = _coverage_target(graph, delta)
-    if graph.covered_task_count() < target:
+    people, tasks, adjacency = frozen = as_frozen(graph)
+    target = _coverage_target(frozen, delta)
+    covered = len(set().union(*adjacency))
+    if covered < target:
         raise InfeasibleError(
             f"coverage target {float(target):g} tasks unreachable: "
-            f"only {graph.covered_task_count()} of {graph.n_tasks} tasks covered"
+            f"only {covered} of {len(tasks)} tasks covered"
         )
-    people, _, adjacency = graph.freeze()
     keep = greedy_keep(adjacency, math.ceil(target))
     return set(people).difference(people[k] for k in keep)
 
 
-def mcs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
+def mcs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     """Approximate minimum critical set.
 
     Removes people in decreasing order of degree (ties to the smallest id)
@@ -124,75 +125,63 @@ def mcs_greedy(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
     their own tasks covered, so degrees never change as others leave and the
     one-shot order equals per-step recomputation.
     """
-    target = _coverage_target(graph, delta)
-    people, tasks, adjacency = graph.freeze()
+    people, _, adjacency = frozen = as_frozen(graph)
+    target = _coverage_target(frozen, delta)
     order = degree_slots(adjacency)
-    task_degree = [graph.degree_of_task(t) for t in tasks]
-    removed = greedy_critical(adjacency, order, task_degree, math.ceil(target))
+    removed = greedy_critical(adjacency, order, frozen.task_degrees(), math.ceil(target))
     return {people[k] for k in order[:removed]}
 
 
-def _guard(graph: ProjectGraph) -> None:
+def _exact_inputs(
+    graph: GraphLike, delta: DeltaLike
+) -> tuple[tuple[PersonId, ...], list[int], Fraction]:
+    """The people in id order, each one's tasks as a bitmask, and the
+    coverage target; refuses graphs above the guard."""
     if graph.n_people > EXACT_GUARD:
         raise ValueError(
             f"exact oracle refused: {graph.n_people} people exceeds the "
             f"{EXACT_GUARD}-person guard"
         )
-
-
-def mrs_exact(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
-    """Exhaustive maximum redundant set (smallest graphs only)."""
-    _guard(graph)
     target = _coverage_target(graph, delta)
-    people = sorted(graph.people)
-    masks = _task_masks(graph, people)
+    people, _, adjacency = as_frozen(graph)
+    return people, [sum(1 << t for t in own) for own in adjacency], target
+
+
+def mrs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
+    """Exhaustive maximum redundant set (smallest graphs only)."""
+    people, masks, target = _exact_inputs(graph, delta)
     if _union_mask(masks).bit_count() < target:
         raise InfeasibleError(
             f"coverage target {float(target):g} tasks unreachable"
         )
-    for keep_size in range(len(people) + 1):
-        best: tuple[int, ...] | None = None
-        for keep in itertools.combinations(range(len(people)), keep_size):
-            mask = 0
-            for i in keep:
-                mask |= masks[i]
-            if mask.bit_count() >= target:
-                removed = tuple(
-                    people[i] for i in range(len(people)) if i not in keep
-                )
-                if best is None or removed < best:
-                    best = removed
+    n = len(people)
+    for keep_size in range(n + 1):
+        best = min(
+            (
+                tuple(people[i] for i in range(n) if i not in keep)
+                for keep in itertools.combinations(range(n), keep_size)
+                if _union_mask(masks[i] for i in keep).bit_count() >= target
+            ),
+            default=None,
+        )
         if best is not None:
             return set(best)
     raise AssertionError("unreachable: keeping everyone was checked feasible")
 
 
-def mcs_exact(graph: ProjectGraph, delta: DeltaLike) -> set[PersonId]:
+def mcs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     """Exhaustive minimum critical set (smallest graphs only)."""
-    _guard(graph)
-    target = _coverage_target(graph, delta)
-    people = sorted(graph.people)
-    masks = _task_masks(graph, people)
-    for size in range(len(people) + 1):
-        for removed in itertools.combinations(range(len(people)), size):
-            gone = set(removed)
-            mask = 0
-            for i in range(len(people)):
-                if i not in gone:
-                    mask |= masks[i]
-            if mask.bit_count() < target:
+    people, masks, target = _exact_inputs(graph, delta)
+    n = len(people)
+    for size in range(n + 1):
+        for removed in itertools.combinations(range(n), size):
+            kept = (masks[i] for i in range(n) if i not in removed)
+            if _union_mask(kept).bit_count() < target:
                 return {people[i] for i in removed}
     raise AssertionError("unreachable: removing everyone drops coverage to 0")
 
 
-def _task_masks(graph: ProjectGraph, people: list[PersonId]) -> list[int]:
-    task_bit = {t: 1 << i for i, t in enumerate(sorted(graph.tasks))}
-    return [
-        sum(task_bit[t] for t in graph.tasks_of(p)) for p in people
-    ]
-
-
-def _union_mask(masks: list[int]) -> int:
+def _union_mask(masks: Iterable[int]) -> int:
     mask = 0
     for m in masks:
         mask |= m
@@ -229,11 +218,12 @@ class CoverageReport:
         }
 
 
-def coverage_report(graph: ProjectGraph, delta: DeltaLike) -> CoverageReport:
+def coverage_report(graph: GraphLike, delta: DeltaLike) -> CoverageReport:
     """Greedy MRS/MCS witnesses plus the derived Z quantities."""
     d = normalize_delta(delta)
-    mrs = mrs_greedy(graph, d)
-    mcs = mcs_greedy(graph, d)
+    frozen = as_frozen(graph)
+    mrs = mrs_greedy(frozen, d)
+    mcs = mcs_greedy(frozen, d)
     return CoverageReport(
         delta=d,
         mrs_set=tuple(sorted(mrs)),

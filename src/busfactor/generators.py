@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
-from .graph import ProjectGraph, degree_slots, require_nondegenerate
+from .graph import (
+    GraphLike,
+    ProjectGraph,
+    as_frozen,
+    degree_slots,
+    from_maps,
+    require_nondegenerate,
+)
 from .robustness import _normalization, insertion_area
 
 # numpy is imported inside the functions that use it, so that commands
@@ -213,57 +220,44 @@ def generate_powerlaw(config: GeneratorConfig) -> ProjectGraph:
         deg_t *= sum_p / sum_t
     total = deg_p.sum()
 
-    graph = ProjectGraph(people=range(n_p), tasks=range(n_t))
-    for p in range(n_p):
+    people = {p: set() for p in range(n_p)}
+    tasks = {t: set() for t in range(n_t)}
+    for p, own in people.items():
         probs = deg_p[p] * deg_t / total
-        hits = np.nonzero(rng.random(n_t) < probs)[0]
-        for t in hits:
-            graph.add_edge(p, int(t))
-
-    _repair_min_degree(graph, config.min_degree, rng)
-    return graph
+        own.update(np.nonzero(rng.random(n_t) < probs)[0].tolist())
+        for t in own:
+            tasks[t].add(p)
+    _repair_min_degree(people, tasks, config.min_degree, rng)
+    _repair_min_degree(tasks, people, config.min_degree, rng)
+    return from_maps(people, tasks)
 
 
 def _repair_min_degree(
-    graph: ProjectGraph, min_degree: int, rng: np.random.Generator
+    nodes: dict[int, set], others: dict[int, set], min_degree: int, rng: np.random.Generator
 ) -> None:
+    """Link each of ``nodes`` below ``min_degree`` to as many more of
+    ``others`` as it lacks, drawn without replacement from those it is not
+    linked to; both sides have ids ``0, 1, ...``."""
     import numpy as np
-    all_tasks = np.array(sorted(graph.tasks))
-    all_people = np.array(sorted(graph.people))
-    for p in sorted(graph.people):
-        missing = min_degree - graph.degree_of_person(p)
+    for n, own in nodes.items():
+        missing = min_degree - len(own)
         if missing > 0:
-            candidates = _absent(all_tasks, graph.tasks_of(p))
-            for t in rng.choice(candidates, size=missing, replace=False):
-                graph.add_edge(p, int(t))
-    for t in sorted(graph.tasks):
-        missing = min_degree - graph.degree_of_task(t)
-        if missing > 0:
-            candidates = _absent(all_people, graph.people_of(t))
-            for p in rng.choice(candidates, size=missing, replace=False):
-                graph.add_edge(int(p), t)
-
-
-def _absent(ids: np.ndarray, present: frozenset[int]) -> np.ndarray:
-    """The sorted ``ids`` not in ``present``, a subset of them, in order."""
-    import numpy as np
-    keep = np.ones(len(ids), dtype=bool)
-    keep[np.searchsorted(ids, list(present))] = False
-    return ids[keep]
+            absent = np.ones(len(others), dtype=bool)
+            absent[list(own)] = False
+            picks = rng.choice(np.flatnonzero(absent), size=missing, replace=False)
+            for m in picks.tolist():
+                own.add(m)
+                others[m].add(n)
 
 
 def disjoint_union(first: ProjectGraph, second: ProjectGraph) -> ProjectGraph:
     """Combine two graphs, relabeling the second's ids above the first's."""
-    merged = first.copy()
-    p_off = merged.fresh_person_id()
-    t_off = merged.fresh_task_id()
-    for p in sorted(second.people):
-        merged.add_person(p_off + p)
-    for t in sorted(second.tasks):
-        merged.add_task(t_off + t)
-    for p, t in second.edges():
-        merged.add_edge(p_off + p, t_off + t)
-    return merged
+    p_off, t_off = first.fresh_person_id(), first.fresh_task_id()
+    return ProjectGraph(
+        people=[*first.people, *(p_off + p for p in second.people)],
+        tasks=[*first.tasks, *(t_off + t for t in second.tasks)],
+        edges=[*first.edges(), *((p_off + p, t_off + t) for p, t in second.edges())],
+    )
 
 
 # -- the perturbation engine ----------------------------------------------------
@@ -275,13 +269,11 @@ class _Perturbation:
     the covered-task count. A new person takes the fresh id ``max + 1`` and
     the next slot, which keeps the slots in id order."""
 
-    def __init__(self, graph: ProjectGraph):
-        people, self.tasks, adjacency = graph.freeze()
+    def __init__(self, graph: GraphLike):
+        people, self.tasks, adjacency = frozen = as_frozen(graph)
         self.people = list(people)
         self.held = [set(own) for own in adjacency]
-        self.task_degree = [0] * len(self.tasks)
-        for t in itertools.chain(*adjacency):
-            self.task_degree[t] += 1
+        self.task_degree = frozen.task_degrees()
         self.covered = len(self.tasks) - self.task_degree.count(0)
 
     def add_edge(self, k: int, t: int) -> None:
@@ -338,7 +330,7 @@ def _edge_removals(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
 
 
 def _perturbation(
-    graph: ProjectGraph, kind: str, total_steps: int, seed: int
+    graph: GraphLike, kind: str, total_steps: int, seed: int
 ) -> tuple[_Perturbation, Iterator[None], int, list[str]]:
     """The dense state of ``graph``, an iterator each item of which applies
     one modification of ``kind`` to it, how many of ``total_steps`` the
@@ -409,7 +401,7 @@ class SweepTable:
 
 
 def run_sweep(
-    graph: ProjectGraph,
+    graph: GraphLike,
     kind: str,
     total_steps: int,
     stride: int = 100,

@@ -2,12 +2,13 @@
 
 People and tasks are plain non-negative integers living in two disjoint
 namespaces; an edge (p, t) means person ``p`` contributes to task ``t``.
-Analyses treat a graph as read-only; code that needs to perturb one works
-on its own :meth:`ProjectGraph.copy`.
+Analyses take a graph or its frozen view and treat both as read-only;
+code that needs to perturb a graph works on its own :meth:`ProjectGraph.copy`.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator, Sequence, Sized
 from typing import NamedTuple
 
@@ -24,6 +25,25 @@ class FrozenGraph(NamedTuple):
     people: tuple[PersonId, ...]
     tasks: tuple[TaskId, ...]
     adjacency: tuple[tuple[int, ...], ...]
+
+    @property
+    def n_people(self) -> int:
+        return len(self.people)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(map(len, self.adjacency))
+
+    def task_degrees(self) -> list[int]:
+        """The number of people doing each task, by task index."""
+        degrees = [0] * len(self.tasks)
+        for t in itertools.chain.from_iterable(self.adjacency):
+            degrees[t] += 1
+        return degrees
 
 
 class ProjectGraph:
@@ -83,10 +103,6 @@ class ProjectGraph:
         self._require_person(person)
         return frozenset(self._people[person])
 
-    def people_of(self, task: TaskId) -> frozenset[PersonId]:
-        self._require_task(task)
-        return frozenset(self._tasks[task])
-
     def degree_of_person(self, person: PersonId) -> int:
         self._require_person(person)
         return len(self._people[person])
@@ -124,11 +140,10 @@ class ProjectGraph:
         )
 
     def copy(self) -> ProjectGraph:
-        new = ProjectGraph.__new__(ProjectGraph)
-        new._people = {p: set(adj) for p, adj in self._people.items()}
-        new._tasks = {t: set(adj) for t, adj in self._tasks.items()}
-        new._n_edges = self._n_edges
-        return new
+        return from_maps(
+            {p: set(adj) for p, adj in self._people.items()},
+            {t: set(adj) for t, adj in self._tasks.items()},
+        )
 
     def freeze(self) -> FrozenGraph:
         """Sorted people and tasks with per-person dense task indices.
@@ -182,12 +197,6 @@ class ProjectGraph:
     def fresh_task_id(self) -> TaskId:
         return max(self._tasks, default=-1) + 1
 
-    # -- analyses ------------------------------------------------------------
-
-    def covered_task_count(self) -> int:
-        """Number of tasks with at least one contributor."""
-        return sum(1 for adj in self._tasks.values() if adj)
-
     # -- internal ------------------------------------------------------------
 
     def _require_person(self, person: PersonId) -> None:
@@ -214,7 +223,27 @@ def thaw(
     return ProjectGraph(people=people, tasks=tasks, edges=edges)
 
 
-def require_nondegenerate(graph: ProjectGraph) -> None:
+def from_maps(
+    people: dict[PersonId, set[TaskId]], tasks: dict[TaskId, set[PersonId]]
+) -> ProjectGraph:
+    """The graph that owns ``people`` (each person's task set) and ``tasks``
+    (each task's person set), for callers that check each edge themselves."""
+    graph = ProjectGraph.__new__(ProjectGraph)
+    graph._people, graph._tasks = people, tasks
+    graph._n_edges = sum(map(len, people.values()))
+    return graph
+
+
+GraphLike = ProjectGraph | FrozenGraph
+
+
+def as_frozen(graph: GraphLike) -> FrozenGraph:
+    """The dense view of ``graph``: a :class:`ProjectGraph` is frozen, a
+    :class:`FrozenGraph` is already one."""
+    return graph.freeze() if isinstance(graph, ProjectGraph) else graph
+
+
+def require_nondegenerate(graph: GraphLike) -> None:
     """Raise unless the graph has at least one person and one task."""
     if graph.n_people == 0:
         raise DegenerateError("graph has no people")

@@ -21,12 +21,12 @@ import re
 from pathlib import Path
 
 from .errors import ParseError
-from .graph import ProjectGraph
+from .graph import GraphLike, ProjectGraph, as_frozen, from_maps
 
 FORMATS = ("csv", "json")
 
-_PERSON_RE = re.compile(r"p(0|[1-9][0-9]*)")
-_TASK_RE = re.compile(r"t(0|[1-9][0-9]*)")
+_ID_RE = re.compile(r"([pt])(0|[1-9][0-9]*)")
+_SIDES = {"p": "person", "t": "task"}
 
 
 def person_label(person: int) -> str:
@@ -37,29 +37,27 @@ def task_label(task: int) -> str:
     return f"t{task}"
 
 
-def _id_number(digits: str, line: int | None) -> int:
+def _parse_id(field: str, side: str, line: int | None = None) -> int:
+    """The number in ``field``, an id of ``side`` (``"person"`` or ``"task"``)."""
+    m = _ID_RE.fullmatch(field)
+    if m is None:
+        raise ParseError(f"invalid {side} id {field!r}", line)
+    if _SIDES[m[1]] != side:
+        raise ParseError(f"{_SIDES[m[1]]} id {field!r} in {side} column", line)
     try:
-        return int(digits)
+        return int(m[2])
     except ValueError as exc:  # longer than the interpreter's digit limit
         raise ParseError(str(exc), line) from exc
 
 
-def _parse_person(field: str, line: int | None = None) -> int:
-    m = _PERSON_RE.fullmatch(field)
-    if not m:
-        if _TASK_RE.fullmatch(field):
-            raise ParseError(f"task id {field!r} in person column", line)
-        raise ParseError(f"invalid person id {field!r}", line)
-    return _id_number(m.group(1), line)
-
-
-def _parse_task(field: str, line: int | None = None) -> int:
-    m = _TASK_RE.fullmatch(field)
-    if not m:
-        if _PERSON_RE.fullmatch(field):
-            raise ParseError(f"person id {field!r} in task column", line)
-        raise ParseError(f"invalid task id {field!r}", line)
-    return _id_number(m.group(1), line)
+def _declare(field: str, side: str, ids: dict, nodes: dict, line: int | None = None) -> int:
+    """Add the new node ``field``, an id of ``side``, to ``nodes`` (node to
+    neighbours) and to ``ids`` (each label read so far to its id)."""
+    if field in ids:
+        raise ParseError(f"duplicate declaration of {field}", line)
+    ids[field] = n = _parse_id(field, side, line)
+    nodes[n] = set()
+    return n
 
 
 def parse_edge_list(data: str | bytes, fmt: str = "csv") -> ProjectGraph:
@@ -73,7 +71,7 @@ def parse_edge_list(data: str | bytes, fmt: str = "csv") -> ProjectGraph:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def render_edge_list(graph: ProjectGraph, fmt: str = "csv") -> str:
+def render_edge_list(graph: GraphLike, fmt: str = "csv") -> str:
     """Serialize ``graph`` canonically in the given format."""
     if fmt == "csv":
         return _render_csv(graph)
@@ -95,7 +93,7 @@ def load_edge_list(path: str | Path, fmt: str | None = None) -> ProjectGraph:
 
 
 def save_edge_list(
-    graph: ProjectGraph, path: str | Path, fmt: str | None = None
+    graph: GraphLike, path: str | Path, fmt: str | None = None
 ) -> None:
     text = render_edge_list(graph, file_format(path, fmt))
     Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -105,7 +103,10 @@ def save_edge_list(
 
 
 def _parse_csv(data: str) -> ProjectGraph:
-    graph = ProjectGraph()
+    people: dict[int, set[int]] = {}
+    tasks: dict[int, set[int]] = {}
+    person_ids: dict[str, int] = {}  # see _declare
+    task_ids: dict[str, int] = {}
     header_seen = False
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -123,44 +124,38 @@ def _parse_csv(data: str) -> ProjectGraph:
             raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
         p_field, t_field = fields[0].strip(), fields[1].strip()
         if p_field and t_field:
-            p = _parse_person(p_field, lineno)
-            t = _parse_task(t_field, lineno)
-            if p not in graph.people:
-                graph.add_person(p)
-            if t not in graph.tasks:
-                graph.add_task(t)
-            if graph.has_edge(p, t):
+            p = person_ids.get(p_field)
+            if p is None:
+                p = _declare(p_field, "person", person_ids, people, lineno)
+            t = task_ids.get(t_field)
+            if t is None:
+                t = _declare(t_field, "task", task_ids, tasks, lineno)
+            own = people[p]
+            if t in own:
                 raise ParseError(f"duplicate edge ({p_field},{t_field})", lineno)
-            graph.add_edge(p, t)
+            own.add(t)
+            tasks[t].add(p)
         elif p_field:
-            p = _parse_person(p_field, lineno)
-            if p in graph.people:
-                raise ParseError(f"duplicate declaration of {p_field}", lineno)
-            graph.add_person(p)
+            _declare(p_field, "person", person_ids, people, lineno)
         elif t_field:
-            t = _parse_task(t_field, lineno)
-            if t in graph.tasks:
-                raise ParseError(f"duplicate declaration of {t_field}", lineno)
-            graph.add_task(t)
+            _declare(t_field, "task", task_ids, tasks, lineno)
         else:
             raise ParseError("empty row", lineno)
     if not header_seen:
         raise ParseError("missing 'person,task' header")
-    return graph
+    return from_maps(people, tasks)
 
 
-def _render_csv(graph: ProjectGraph) -> str:
+def _render_csv(graph: GraphLike) -> str:
+    people, tasks, adjacency = as_frozen(graph)
+    task_labels = [task_label(t) for t in tasks]
     lines = ["person,task"]
-    linked_people: set[int] = set()
-    linked_tasks: set[int] = set()
-    for p, t in graph.edges():
-        lines.append(f"{person_label(p)},{task_label(t)}")
-        linked_people.add(p)
-        linked_tasks.add(t)
-    for p in sorted(graph.people - linked_people):
-        lines.append(f"{person_label(p)},")
-    for t in sorted(graph.tasks - linked_tasks):
-        lines.append(f",{task_label(t)}")
+    for p, own in zip(people, adjacency):
+        prefix = f"{person_label(p)},"
+        lines += [prefix + task_labels[t] for t in own]
+    lines += [f"{person_label(p)}," for p, own in zip(people, adjacency) if not own]
+    linked = set().union(*adjacency)
+    lines += [f",{label}" for t, label in enumerate(task_labels) if t not in linked]
     return "\n".join(lines) + "\n"
 
 
@@ -180,39 +175,44 @@ def _parse_json(data: str) -> ProjectGraph:
         if not isinstance(obj.get(key), list):
             raise ParseError(f"missing or non-array {key!r} field")
 
-    graph = ProjectGraph()
+    people: dict[int, set[int]] = {}
+    tasks: dict[int, set[int]] = {}
+    person_ids: dict[str, int] = {}  # see _declare
+    task_ids: dict[str, int] = {}
     for label in obj["people"]:
-        p = _parse_person(str(label))
-        if p in graph.people:
-            raise ParseError(f"duplicate declaration of {label}")
-        graph.add_person(p)
+        _declare(str(label), "person", person_ids, people)
     for label in obj["tasks"]:
-        t = _parse_task(str(label))
-        if t in graph.tasks:
-            raise ParseError(f"duplicate declaration of {label}")
-        graph.add_task(t)
+        _declare(str(label), "task", task_ids, tasks)
     for pair in obj["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"edge {pair!r} is not a [person, task] pair")
-        p = _parse_person(str(pair[0]))
-        t = _parse_task(str(pair[1]))
-        if p not in graph.people or t not in graph.tasks:
+        p, t = person_ids.get(str(pair[0])), task_ids.get(str(pair[1]))
+        if p is None or t is None:
+            _parse_id(str(pair[0]), "person")  # an invalid id is reported first
+            _parse_id(str(pair[1]), "task")
             raise ParseError(f"edge [{pair[0]}, {pair[1]}] references undeclared node")
-        if graph.has_edge(p, t):
+        own = people[p]
+        if t in own:
             raise ParseError(f"duplicate edge [{pair[0]}, {pair[1]}]")
-        graph.add_edge(p, t)
-    return graph
+        own.add(t)
+        tasks[t].add(p)
+    return from_maps(people, tasks)
 
 
-def graph_object(graph: ProjectGraph) -> dict:
+def graph_object(graph: GraphLike) -> dict:
     """The ``people``, ``tasks`` and ``edges`` arrays of the JSON format, in
     canonical order; writers may add keys, such as a manifest."""
+    people, tasks, adjacency = as_frozen(graph)
     return {
-        "people": [person_label(p) for p in sorted(graph.people)],
-        "tasks": [task_label(t) for t in sorted(graph.tasks)],
-        "edges": [[person_label(p), task_label(t)] for p, t in graph.edges()],
+        "people": [person_label(p) for p in people],
+        "tasks": [task_label(t) for t in tasks],
+        "edges": [
+            [person_label(p), task_label(tasks[t])]
+            for p, own in zip(people, adjacency)
+            for t in own
+        ],
     }
 
 
-def _render_json(graph: ProjectGraph) -> str:
+def _render_json(graph: GraphLike) -> str:
     return json.dumps(graph_object(graph), indent=2, sort_keys=True) + "\n"

@@ -21,10 +21,11 @@ from itertools import accumulate
 from .errors import DegenerateError
 from .generators import ScalarDraws, make_rng
 from .graph import (
-    FrozenGraph,
+    GraphLike,
     PersonId,
     ProjectGraph,
     TaskId,
+    as_frozen,
     degree_slots,
     require_nondegenerate,
     thaw,
@@ -74,10 +75,7 @@ class SwapResult:
 
 
 def null_sample(
-    graph: ProjectGraph,
-    config: NullModelConfig,
-    sample_index: int = 0,
-    frozen: FrozenGraph | None = None,
+    graph: GraphLike, config: NullModelConfig, sample_index: int = 0
 ) -> SwapResult:
     """Degree-preserving random rewiring, deterministic per (seed, index).
 
@@ -85,27 +83,27 @@ def null_sample(
     (p1,t1), (p2,t2) are crossed to (p1,t2), (p2,t1) when all four nodes are
     distinct and neither crossed edge exists.
 
-    The swaps run on the :meth:`ProjectGraph.freeze` view: edge ``i``, in
-    the canonical (person, task) order the draws index into, keeps its
-    person's task set ``owned[i]`` (one of ``held``) for good, as a swap
-    exchanges tasks only, and holds task index ``task[i]``. Since
-    ``task[i]`` is always in ``owned[i]``, the crossed-edge check
+    The swaps run on the dense view of ``graph``, which callers that draw
+    many samples pass in its place: edge ``i``, in the canonical (person,
+    task) order the draws index into, keeps its person's task set
+    ``owned[i]`` (one of ``held``) for good, as a swap exchanges tasks
+    only, and holds task index ``task[i]``. Since ``task[i]`` is always in
+    ``owned[i]``, the crossed-edge check
     ``task[j] in owned[i]`` also rejects ``i == j``, a shared person and a
     shared task. No graph is built unless ``.graph`` is read.
-    ``frozen`` is ``graph.freeze()``, for callers that draw many samples.
 
     The ``2 * attempts`` edge draws are streamed in chunks of at most
     ``2 * _DRAW_PAIRS``; concatenated, the chunks equal one
     ``rng.integers(0, m, size=2 * attempts)`` draw.
     """
     config.validate()
-    people, tasks, adjacency = graph.freeze() if frozen is None else frozen
+    people, tasks, adjacency = as_frozen(graph)
     held = tuple(set(own) for own in adjacency)
-    m = graph.n_edges
-    if m < 2:
-        return SwapResult(people, tasks, held, attempts=0, swaps=0)
     owned = [own for own in held for _ in own]
     task = [t for own in adjacency for t in own]
+    m = len(task)
+    if m < 2:
+        return SwapResult(people, tasks, held, attempts=0, swaps=0)
     attempts = config.swaps_per_edge * m
     rng = make_rng(config.seed, sample_index)
     swaps = 0
@@ -150,7 +148,7 @@ class PermutationTestResult:
 
 
 def _null_objectives(
-    graph: ProjectGraph, config: NullModelConfig, start: int, stop: int
+    graph: GraphLike, config: NullModelConfig, start: int, stop: int
 ) -> list[float]:
     """Greedy robustness of the null samples ``start .. stop - 1``.
 
@@ -161,13 +159,13 @@ def _null_objectives(
     integer area and normalization as :func:`bus_factor_greedy`.
     """
     require_nondegenerate(graph)
-    frozen = graph.freeze()
+    frozen = as_frozen(graph)
     reinsertion = degree_slots(frozen.adjacency)[::-1]
-    n_tasks = graph.n_tasks
-    denom = _normalization(graph.n_people, n_tasks)
+    n_tasks = frozen.n_tasks
+    denom = _normalization(frozen.n_people, n_tasks)
     values = []
     for i in range(start, stop):
-        held = null_sample(graph, config, i, frozen).held
+        held = null_sample(frozen, config, i).held
         values.append(insertion_area(n_tasks, [held[k] for k in reinsertion]) / denom)
         del held  # free this sample's sets before the next one is drawn
     return values
@@ -188,26 +186,24 @@ def _map_jobs(fn, jobs: list[tuple], workers: int) -> Iterator:
 
 
 def null_objectives(
-    graph: ProjectGraph, config: NullModelConfig, indices: range, workers: int = 1
+    graph: GraphLike, config: NullModelConfig, indices: range, workers: int = 1
 ) -> list[float]:
     """Greedy robustness of null samples at the given indices, in order.
 
-    Worker payloads are chunked so the base graph crosses process
+    Worker payloads are chunked so the base graph's view crosses process
     boundaries once per chunk; results do not depend on the worker count.
     """
-    if workers > 1:
-        chunk = max(1, math.ceil(len(indices) / (workers * 8)))
-        jobs = [
-            (graph, config, s, min(s + chunk, indices.stop))
-            for s in range(indices.start, indices.stop, chunk)
-        ]
-        parts = _map_jobs(_null_objectives, jobs, workers)
-        return [v for part in parts for v in part]
-    return _null_objectives(graph, config, indices.start, indices.stop)
+    graph = as_frozen(graph)
+    chunk = max(1, math.ceil(len(indices) / (workers * 8)))
+    jobs = [
+        (graph, config, s, min(s + chunk, indices.stop))
+        for s in range(indices.start, indices.stop, chunk)
+    ]
+    return [v for part in _map_jobs(_null_objectives, jobs, workers) for v in part]
 
 
 def permutation_test(
-    graph: ProjectGraph, config: NullModelConfig, workers: int = 1
+    graph: GraphLike, config: NullModelConfig, workers: int = 1
 ) -> PermutationTestResult:
     """Lower-tail permutation test of the observed greedy robustness.
 
@@ -215,6 +211,7 @@ def permutation_test(
     (0, 1] and counts the observed value as its own null draw.
     """
     config.validate()
+    graph = as_frozen(graph)
     observed = bus_factor_greedy(graph).value
     null_values = null_objectives(graph, config, range(config.n_samples), workers)
     below = sum(1 for v in null_values if v <= observed)
@@ -225,7 +222,7 @@ def permutation_test(
 
 
 def _calibration_trial(
-    graph: ProjectGraph, config: NullModelConfig, trial: int
+    graph: GraphLike, config: NullModelConfig, trial: int
 ) -> float:
     n = config.n_samples
     base = trial * (n + 1)
@@ -235,7 +232,7 @@ def _calibration_trial(
 
 
 def calibrate_pvalues(
-    graph: ProjectGraph, config: NullModelConfig, trials: int, workers: int = 1
+    graph: GraphLike, config: NullModelConfig, trials: int, workers: int = 1
 ) -> list[float]:
     """p-values with the observed value itself drawn from the null.
 
@@ -246,6 +243,7 @@ def calibrate_pvalues(
     config.validate()
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    graph = as_frozen(graph)
     jobs = [(graph, config, j) for j in range(trials)]
     return list(_map_jobs(_calibration_trial, jobs, workers))
 
@@ -287,7 +285,7 @@ class AnnealingTrace:
 
 
 def anneal(
-    graph: ProjectGraph, config: AnnealingConfig
+    graph: GraphLike, config: AnnealingConfig
 ) -> tuple[ProjectGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
@@ -320,7 +318,7 @@ def anneal(
     if graph.n_tasks < 2:
         raise DegenerateError("annealing needs at least two tasks")
 
-    people, tasks, adjacency = graph.freeze()
+    people, tasks, adjacency = frozen = as_frozen(graph)
     n_tasks = len(tasks)
     reinsertion = degree_slots(adjacency)[::-1]
     slot = {i: k for k, i in enumerate(reinsertion)}
@@ -328,14 +326,12 @@ def anneal(
     # (slot, task index) in the canonical (person, task) order, which is
     # the order the edge draws index into
     edges = [(slot[i], t) for i, own in enumerate(adjacency) for t in own]
-    task_degree = [0] * n_tasks
-    for _, t in edges:
-        task_degree[t] += 1
+    task_degree = frozen.task_degrees()
     if not any(
         len(own) < n_tasks and any(task_degree[t] >= 2 for t in own)
         for own in held
     ):
-        return graph.copy(), AnnealingTrace()
+        return thaw(*frozen), AnnealingTrace()
 
     starts = _segment_starts(held)
     segment = [bisect_right(starts, k) - 1 for k in range(len(held))]
@@ -400,12 +396,8 @@ def anneal(
                 own.remove(t_new)
                 own.add(t)
         temperature *= config.cooling_rate
-    best = ProjectGraph(
-        people=people,
-        tasks=tasks,
-        edges=((people[reinsertion[k]], tasks[t]) for k, t in best_edges),
-    )
-    return best, trace
+    edges = ((people[reinsertion[k]], tasks[t]) for k, t in best_edges)
+    return ProjectGraph(people=people, tasks=tasks, edges=edges), trace
 
 
 def _segment_starts(held: list[set[int]]) -> list[int]:
@@ -471,13 +463,13 @@ def _joins_same_components(
     return rt in others and rn in others
 
 
-def _restart(graph: ProjectGraph, config: AnnealingConfig):
+def _restart(graph: GraphLike, config: AnnealingConfig):
     best, trace = anneal(graph, config)
     return bus_factor_greedy(best).value, best, trace
 
 
 def anneal_restarts(
-    graph: ProjectGraph, config: AnnealingConfig, restarts: int, workers: int = 1
+    graph: GraphLike, config: AnnealingConfig, restarts: int, workers: int = 1
 ) -> tuple[ProjectGraph, AnnealingTrace]:
     """The best of ``restarts`` independent :func:`anneal` chains, seeded
     ``config.seed + r``: the highest greedy robustness wins, ties to the
@@ -485,6 +477,7 @@ def anneal_restarts(
     config.validate()
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    graph = as_frozen(graph)
     jobs = [(graph, replace(config, seed=config.seed + r)) for r in range(restarts)]
     # max keeps a running best over the lazy results, the first of ties,
     # so one finished chain is held besides the best, however many run
@@ -505,12 +498,9 @@ class PairedDecay:
             yield step, a, b
 
 
-def compare_decay(original: ProjectGraph, optimized: ProjectGraph) -> PairedDecay:
+def compare_decay(original: GraphLike, optimized: GraphLike) -> PairedDecay:
     """Pair the two greedy decay curves for side-by-side export."""
-    if (
-        original.n_people != optimized.n_people
-        or original.n_tasks != optimized.n_tasks
-    ):
+    if (original.n_people, original.n_tasks) != (optimized.n_people, optimized.n_tasks):
         raise ValueError("graphs must have matching people and task counts")
     return PairedDecay(
         original=bus_factor_greedy(original).curve,

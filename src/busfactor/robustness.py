@@ -16,8 +16,9 @@ from collections.abc import Iterable, Sequence
 
 from .graph import (
     FrozenGraph,
+    GraphLike,
     PersonId,
-    ProjectGraph,
+    as_frozen,
     degree_slots,
     require_nondegenerate,
 )
@@ -119,46 +120,42 @@ def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
     return state.area()
 
 
-def _validate_sequence(graph: ProjectGraph, order: RemovalSequence) -> list[PersonId]:
-    order = list(order)
-    if len(order) != graph.n_people or set(order) != set(graph.people):
-        raise ValueError("removal sequence must be a permutation of all people")
-    return order
-
-
-def decay_curve(graph: ProjectGraph, order: RemovalSequence) -> DecayCurve:
+def decay_curve(graph: GraphLike, order: RemovalSequence) -> DecayCurve:
     """Decay curve for a full removal order, by reverse simulation.
 
     People are inserted back in reverse order into the task-only graph by
     :func:`insertion_maxima`; the curve is its running maxima read
     backwards, ending at 0 once everyone is gone.
     """
-    order = _validate_sequence(graph, order)
-    frozen = graph.freeze()
+    return _ordered_removal(graph, order)[0]
+
+
+def _ordered_removal(graph: GraphLike, order: RemovalSequence) -> tuple[DecayCurve, int]:
+    """:func:`_removal_curve` of the people of ``order`` in turn, which must
+    list every person once."""
+    order = list(order)
+    if len(order) != graph.n_people or set(order) != set(graph.people):
+        raise ValueError("removal sequence must be a permutation of all people")
+    frozen = as_frozen(graph)
     position = {p: i for i, p in enumerate(frozen.people)}
     return _removal_curve(frozen, [position[p] for p in order])
 
 
-def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> DecayCurve:
+def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[DecayCurve, int]:
     """Decay curve of removing ``frozen.people[k]`` for each ``k`` of
-    ``slots`` in turn, which must list every slot once."""
+    ``slots`` in turn, which must list every slot once, and its integer
+    trapezoid area :meth:`InsertionState.area`."""
     adjacency = frozen.adjacency
-    maxima = insertion_maxima(
-        InsertionState.empty(len(frozen.tasks)), [adjacency[k] for k in reversed(slots)]
-    )
-    return DecayCurve((*reversed(maxima), 0))
-
-
-def _area_numerator(curve: DecayCurve) -> int:
-    values = curve.values
-    return sum(values[i - 1] + values[i] for i in range(1, len(values)))
+    state = InsertionState.empty(len(frozen.tasks))
+    maxima = insertion_maxima(state, [adjacency[k] for k in reversed(slots)])
+    return DecayCurve((*reversed(maxima), 0)), state.area()
 
 
 def _normalization(n_people: int, n_tasks: int) -> int:
     return n_tasks * (2 * n_people - 1)
 
 
-def robustness(graph: ProjectGraph, order: RemovalSequence) -> float:
+def robustness(graph: GraphLike, order: RemovalSequence) -> float:
     """Normalized trapezoidal area under the decay curve, in [0, 1].
 
     The area sum(tau[i-1] + tau[i]) / 2 is divided by the complete-graph
@@ -167,11 +164,11 @@ def robustness(graph: ProjectGraph, order: RemovalSequence) -> float:
     the theoretical maximum for one person), fragile as it is.
     """
     require_nondegenerate(graph)
-    curve = decay_curve(graph, order)
-    return _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
+    _, area = _ordered_removal(graph, order)
+    return area / _normalization(graph.n_people, graph.n_tasks)
 
 
-def greedy_order(graph: ProjectGraph) -> list[PersonId]:
+def greedy_order(graph: GraphLike) -> list[PersonId]:
     """Most-destructive-first heuristic order: decreasing degree, ties to
     the smallest id.
 
@@ -179,22 +176,28 @@ def greedy_order(graph: ProjectGraph) -> list[PersonId]:
     person-task graph, so re-ranking after every removal gives this same
     order.
     """
-    people, _, adjacency = graph.freeze()
+    people, _, adjacency = as_frozen(graph)
     return [people[k] for k in degree_slots(adjacency)]
 
 
-def bus_factor_greedy(graph: ProjectGraph) -> RobustnessResult:
+def bus_factor_greedy(graph: GraphLike) -> RobustnessResult:
     """Upper bound on worst-case robustness via the degree-order heuristic."""
     require_nondegenerate(graph)
-    frozen = graph.freeze()
-    slots = degree_slots(frozen.adjacency)  # the greedy_order of graph
-    curve = _removal_curve(frozen, slots)
-    value = _area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks)
-    sequence = tuple(frozen.people[k] for k in slots)
-    return RobustnessResult(value=value, sequence=sequence, curve=curve)
+    frozen = as_frozen(graph)
+    return _result(frozen, degree_slots(frozen.adjacency))  # the greedy_order
 
 
-def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:
+def _result(frozen: FrozenGraph, slots: Sequence[int]) -> RobustnessResult:
+    """The normalized score, sequence and curve of removing ``slots``."""
+    curve, area = _removal_curve(frozen, slots)
+    return RobustnessResult(
+        value=area / _normalization(frozen.n_people, frozen.n_tasks),
+        sequence=tuple(frozen.people[k] for k in slots),
+        curve=curve,
+    )
+
+
+def bus_factor_exact(graph: GraphLike) -> RobustnessResult:
     """Exhaustive minimum over all removal orders (smallest graphs only).
 
     All orders share the same normalization, so candidates are compared by
@@ -206,7 +209,7 @@ def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:
             f"exact search refused: {graph.n_people} people exceeds the "
             f"{EXACT_GUARD}-person guard"
         )
-    frozen = graph.freeze()
+    frozen = as_frozen(graph)
     n_tasks, adjacency = len(frozen.tasks), frozen.adjacency
     # slots are in id order, so permutations come in lexicographic id order
     # and min keeps the first, the lexicographically smallest, least area
@@ -214,9 +217,4 @@ def bus_factor_exact(graph: ProjectGraph) -> RobustnessResult:
         itertools.permutations(range(graph.n_people)),
         key=lambda order: insertion_area(n_tasks, [adjacency[k] for k in reversed(order)]),
     )
-    curve = _removal_curve(frozen, slots)
-    return RobustnessResult(
-        value=_area_numerator(curve) / _normalization(graph.n_people, graph.n_tasks),
-        sequence=tuple(frozen.people[k] for k in slots),
-        curve=curve,
-    )
+    return _result(frozen, slots)

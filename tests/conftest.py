@@ -1,6 +1,8 @@
 import heapq
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from busfactor.coverage import _coverage_target, normalize_delta
-from busfactor.errors import DegenerateError, InfeasibleError
+from busfactor.errors import DegenerateError, InfeasibleError, ParseError
 from busfactor.generators import (
     SWEEP_KINDS,
     SweepRow,
@@ -27,9 +29,7 @@ from busfactor.optimize import (
 )
 from busfactor.robustness import (
     DecayCurve,
-    _area_numerator,
     _normalization,
-    _validate_sequence,
     bus_factor_greedy,
     decay_curve,
     greedy_order,
@@ -84,6 +84,11 @@ def random_bipartite(
             if graph.degree_of_task(t) == 0:
                 graph.add_edge(int(rng.integers(n_p)), t)
     return graph
+
+
+def covered_task_count(graph: ProjectGraph) -> int:
+    """Number of tasks with at least one contributor."""
+    return sum(1 for t in graph.tasks if graph.degree_of_task(t))
 
 
 def degree_maps(graph: ProjectGraph) -> tuple[dict[int, int], dict[int, int]]:
@@ -200,7 +205,9 @@ def largest_task_component_size(graph: ProjectGraph) -> int:
 
 def decay_curve_naive(graph: ProjectGraph, order) -> DecayCurve:
     """Reference decay curve by full recomputation after each removal."""
-    order = _validate_sequence(graph, order)
+    order = list(order)
+    if len(order) != graph.n_people or set(order) != set(graph.people):
+        raise ValueError("removal sequence must be a permutation of all people")
     values = [largest_task_component_size(graph)]
     current = graph
     for p in order:
@@ -222,6 +229,127 @@ def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
         order.append(nxt)
         remaining = remove_people(remaining, [nxt])
     return order
+
+
+# -- reference parsers: row by row, through the checked ProjectGraph methods ------
+
+
+def parse_edge_list_reference(data: str, fmt: str) -> ProjectGraph:
+    """What ``parse_edge_list`` gives, or the ``ParseError`` it raises, with
+    every row going through ``add_person``, ``add_task``, ``has_edge`` and
+    ``add_edge``."""
+    return _parse_csv_reference(data) if fmt == "csv" else _parse_json_reference(data)
+
+
+_PERSON_RE = re.compile(r"p(0|[1-9][0-9]*)")
+_TASK_RE = re.compile(r"t(0|[1-9][0-9]*)")
+
+
+def _id_number(digits: str, line: int | None) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # longer than the interpreter's digit limit
+        raise ParseError(str(exc), line) from exc
+
+
+def _parse_person(field: str, line: int | None = None) -> int:
+    m = _PERSON_RE.fullmatch(field)
+    if not m:
+        if _TASK_RE.fullmatch(field):
+            raise ParseError(f"task id {field!r} in person column", line)
+        raise ParseError(f"invalid person id {field!r}", line)
+    return _id_number(m.group(1), line)
+
+
+def _parse_task(field: str, line: int | None = None) -> int:
+    m = _TASK_RE.fullmatch(field)
+    if not m:
+        if _PERSON_RE.fullmatch(field):
+            raise ParseError(f"person id {field!r} in task column", line)
+        raise ParseError(f"invalid task id {field!r}", line)
+    return _id_number(m.group(1), line)
+
+
+def _parse_csv_reference(data: str) -> ProjectGraph:
+    graph = ProjectGraph()
+    header_seen = False
+    for lineno, raw in enumerate(data.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != "person,task":
+                raise ParseError(
+                    f"expected header 'person,task', got {line!r}", lineno
+                )
+            header_seen = True
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields, got {len(fields)}", lineno)
+        p_field, t_field = fields[0].strip(), fields[1].strip()
+        if p_field and t_field:
+            p = _parse_person(p_field, lineno)
+            t = _parse_task(t_field, lineno)
+            if p not in graph.people:
+                graph.add_person(p)
+            if t not in graph.tasks:
+                graph.add_task(t)
+            if graph.has_edge(p, t):
+                raise ParseError(f"duplicate edge ({p_field},{t_field})", lineno)
+            graph.add_edge(p, t)
+        elif p_field:
+            p = _parse_person(p_field, lineno)
+            if p in graph.people:
+                raise ParseError(f"duplicate declaration of {p_field}", lineno)
+            graph.add_person(p)
+        elif t_field:
+            t = _parse_task(t_field, lineno)
+            if t in graph.tasks:
+                raise ParseError(f"duplicate declaration of {t_field}", lineno)
+            graph.add_task(t)
+        else:
+            raise ParseError("empty row", lineno)
+    if not header_seen:
+        raise ParseError("missing 'person,task' header")
+    return graph
+
+
+def _parse_json_reference(data: str) -> ProjectGraph:
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, long integers
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("top-level JSON value must be an object")
+    for key in ("people", "tasks", "edges"):
+        if not isinstance(obj.get(key), list):
+            raise ParseError(f"missing or non-array {key!r} field")
+
+    graph = ProjectGraph()
+    for label in obj["people"]:
+        p = _parse_person(str(label))
+        if p in graph.people:
+            raise ParseError(f"duplicate declaration of {label}")
+        graph.add_person(p)
+    for label in obj["tasks"]:
+        t = _parse_task(str(label))
+        if t in graph.tasks:
+            raise ParseError(f"duplicate declaration of {label}")
+        graph.add_task(t)
+    for pair in obj["edges"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"edge {pair!r} is not a [person, task] pair")
+        p = _parse_person(str(pair[0]))
+        t = _parse_task(str(pair[1]))
+        if p not in graph.people or t not in graph.tasks:
+            raise ParseError(f"edge [{pair[0]}, {pair[1]}] references undeclared node")
+        if graph.has_edge(p, t):
+            raise ParseError(f"duplicate edge [{pair[0]}, {pair[1]}]")
+        graph.add_edge(p, t)
+    return graph
 
 
 # -- reference annealer: mutates a ProjectGraph, rescores it with decay_curve ----
@@ -262,7 +390,7 @@ def anneal_reference(
     denom = _normalization(working.n_people, working.n_tasks)
 
     def objective_area(g: ProjectGraph) -> int:
-        return _area_numerator(decay_curve(g, order))
+        return trapezoid_area(decay_curve(g, order))
 
     edges = list(working.edges())
     tasks = sorted(working.tasks)
@@ -305,6 +433,12 @@ def anneal_reference(
                 working.add_edge(p, t)
         temperature *= config.cooling_rate
     return best_graph, trace
+
+
+def trapezoid_area(curve: DecayCurve) -> int:
+    """Twice the trapezoidal area under ``curve``, summed step by step."""
+    values = curve.values
+    return sum(values[i - 1] + values[i] for i in range(1, len(values)))
 
 
 def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
@@ -379,10 +513,10 @@ def mrs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
     """Lazy greedy keep-set grown against the rational target; everyone
     else is redundant."""
     target = _coverage_target(graph, delta)
-    if graph.covered_task_count() < target:
+    if covered_task_count(graph) < target:
         raise InfeasibleError(
             f"coverage target {float(target):g} tasks unreachable: "
-            f"only {graph.covered_task_count()} of {graph.n_tasks} tasks covered"
+            f"only {covered_task_count(graph)} of {graph.n_tasks} tasks covered"
         )
     covered: set[int] = set()
     keep: set[int] = set()
@@ -405,7 +539,7 @@ def mcs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
     target = _coverage_target(graph, delta)
     degrees, live = degree_maps(graph)
     order = sorted(degrees, key=lambda p: (-degrees[p], p))
-    covered = graph.covered_task_count()
+    covered = covered_task_count(graph)
     removed: set[int] = set()
     for p in order:
         if covered < target:

@@ -5,6 +5,7 @@ criterion. The slow criteria state their runtime budgets and are asserted
 against them.
 """
 
+import itertools
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -239,15 +240,17 @@ def test_criterion_6_rq2_duplicates():
 
 
 def _degree_check_chunk(args) -> int:
-    graph, config, start, stop, p_deg, t_deg = args
+    frozen, config, start, stop, degrees, p_deg, t_deg = args
     ok = 0
-    degrees = degree_maps(graph)
     for i in range(start, stop):
-        people, tasks = sampled = degree_maps(null_sample(graph, config, i).graph)
+        sample = null_sample(frozen, config, i)
+        held_by = Counter(itertools.chain.from_iterable(sample.held))
+        people = {p: len(own) for p, own in zip(sample.people, sample.held)}
+        tasks = {t: held_by[k] for k, t in enumerate(sample.tasks)}
         if (
             Counter(people.values()) == p_deg
             and Counter(tasks.values()) == t_deg
-            and sampled == degrees
+            and (people, tasks) == degrees
         ):
             ok += 1
     return ok
@@ -257,12 +260,14 @@ def test_criterion_7_null_model_soundness():
     start = time.perf_counter()
     base = generate_powerlaw(GeneratorConfig(seed=7, **DESK))
     config = NullModelConfig(n_samples=1, swaps_per_edge=10, seed=777)
-    p_deg, t_deg = (Counter(d.values()) for d in degree_maps(base))
+    degrees = degree_maps(base)
+    p_deg, t_deg = (Counter(d.values()) for d in degrees)
 
     n_samples = 10_000
     chunk = 500
+    frozen = base.freeze()
     jobs = [
-        (base, config, s, min(s + chunk, n_samples), p_deg, t_deg)
+        (frozen, config, s, min(s + chunk, n_samples), degrees, p_deg, t_deg)
         for s in range(0, n_samples, chunk)
     ]
     with ProcessPoolExecutor(max_workers=2) as pool:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import busfactor
-from busfactor import AnnealingConfig, GeneratorConfig, NullModelConfig, cli
+from busfactor import AnnealingConfig, GeneratorConfig, NullModelConfig, cli, optimize
 from busfactor.cli import main
+from busfactor.generators import SWEEP_KINDS, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
 
@@ -23,6 +25,18 @@ FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 def fixture_path(tmp_path):
     path = tmp_path / "fixture.csv"
     path.write_text(FOUR_EDGE_CSV)
+    return path
+
+
+@pytest.fixture
+def criterion9_path(tmp_path):
+    """The input of acceptance criterion 9: two 15-person silos."""
+    silo = disjoint_union(
+        generate_powerlaw(GeneratorConfig(n_people=15, n_tasks=20, seed=61)),
+        generate_powerlaw(GeneratorConfig(n_people=15, n_tasks=20, seed=62)),
+    )
+    path = tmp_path / "fixture.csv"
+    save_edge_list(silo, path)
     return path
 
 
@@ -200,6 +214,47 @@ def test_optimize_outputs(tmp_path):
     decay_lines = (tmp_path / "opt.decay.csv").read_text().splitlines()
     assert decay_lines[1] == "step,tau_original,tau_optimized"
     assert len(decay_lines) == 2 + silo.n_people + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--delta", "0.5"),
+        ("decay",),
+        *(("sweep", "--kind", kind, "--steps", 40, "--stride", 10) for kind in SWEEP_KINDS),
+        ("nulltest", "--samples", 40, "--workers", 1),
+    ],
+)
+def test_commands_freeze_their_input_once(tmp_path, criterion9_path, monkeypatch, argv):
+    frozen = []
+    freeze = ProjectGraph.freeze
+
+    def counted(graph):
+        frozen.append(graph.n_edges)
+        return freeze(graph)
+
+    monkeypatch.setattr(ProjectGraph, "freeze", counted)
+    assert run(*argv, "--input", criterion9_path, "--output", tmp_path / "out") == 0
+    assert frozen == [load_edge_list(criterion9_path).n_edges]
+
+
+def test_nulltest_holds_no_project_graph_while_sampling(tmp_path, criterion9_path, monkeypatch):
+    # kept alive, so that no graph made later can take one of their ids
+    earlier = [o for o in gc.get_objects() if isinstance(o, ProjectGraph)]
+    known = {id(o) for o in earlier}
+    held_while_sampling = []
+    null_sample = optimize.null_sample
+
+    def inspected(*args, **kwargs):
+        held_while_sampling.extend(
+            o for o in gc.get_objects() if isinstance(o, ProjectGraph) and id(o) not in known
+        )
+        return null_sample(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "null_sample", inspected)
+    argv = ("nulltest", "--input", criterion9_path, "--samples", 5, "--workers", 1)
+    assert run(*argv, "--output", tmp_path / "null.json") == 0
+    assert held_while_sampling == []
 
 
 def test_trace_csv_renders_every_row():

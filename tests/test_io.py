@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from busfactor.errors import ParseError
 from busfactor.graph import ProjectGraph
@@ -13,7 +13,7 @@ from busfactor.io import (
     save_edge_list,
 )
 
-from conftest import sparse_graphs
+from conftest import parse_edge_list_reference, sparse_graphs
 
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
@@ -147,3 +147,122 @@ def test_unknown_format(four_edge_graph):
         render_edge_list(four_edge_graph, "xml")
     with pytest.raises(ValueError, match="unknown format"):
         parse_edge_list("person,task\n", "xml")
+
+
+# -- the parser against the row-by-row reference -----------------------------
+
+
+def _ids(prefix: str):
+    return st.builds(f"{prefix}{{}}".format, st.integers(0, 30))
+
+
+_LONG = st.sampled_from(["p" + "9" * 4400, "t" + "9" * 4400])  # beyond int's digit limit
+# fields that are not ids, or may sit in the other side's column
+_WILD = st.one_of(
+    st.sampled_from(["p01", "t00", "p007", "p\u0661", "t1\u0662", "p", "x1", "P1", ""]),
+    _LONG,
+    _ids("p"),
+    _ids("t"),
+)
+_PADDING = st.sampled_from(["", "", "", " ", "\t"])
+
+
+def _padded(field):
+    return st.builds(lambda a, f, b: a + f + b, _PADDING, field, _PADDING)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """Edges, isolated declarations, comments and blank lines in any order,
+    each line ended by ``\\n`` or ``\\r\\n``; two texts in three also
+    repeat a row or hold one malformed row, and some lack the header."""
+    person, task = _padded(_ids("p")), _padded(_ids("t"))
+    row = st.one_of(  # edges listed twice, to draw them more often
+        st.builds("{},{}".format, person, task),
+        st.builds("{},{}".format, person, task),
+        st.builds("{},".format, person),
+        st.builds(",{}".format, task),
+        st.sampled_from(["# note", "#p1,t1", ""]),
+    )
+    lines = draw(st.lists(row, max_size=20))
+    if draw(st.sampled_from([False, True, True])):
+        wild = _padded(_WILD)
+        bad = draw(st.one_of(
+            st.sampled_from(lines or ["p1,t1"]),  # a repeat
+            st.builds("{},{}".format, wild, st.one_of(task, wild)),
+            st.builds("{},{}".format, person, wild),
+            st.builds("{},{}".format, _LONG, st.one_of(task, _LONG)),
+            st.builds("{},".format, wild),
+            st.builds(",{}".format, wild),
+            st.builds("{},{},{}".format, person, task, task),
+            st.sampled_from([",", " , ", " ", "p1", "p1;t1", "who,what", "person, task"]),
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    header = draw(st.sampled_from(["person,task"] * 8 + ["who,what", "person,task ", ""]))
+    lines = [*draw(st.lists(st.sampled_from(["# provenance", ""]), max_size=2)), header, *lines]
+    endings = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]),
+                            min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@st.composite
+def json_texts(draw) -> str:
+    """Graph objects whose edges join declared nodes; most of them also
+    repeat a declaration or an edge, name an undeclared node or hold a
+    malformed id or pair, some lack an array, and some texts are cut short."""
+    people = draw(st.lists(_ids("p"), unique=True, max_size=8))
+    tasks = draw(st.lists(_ids("t"), unique=True, max_size=8))
+    edges = []
+    if people and tasks:
+        pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks)).map(list)
+        edges = draw(st.lists(pairs, unique_by=tuple, max_size=15))
+    obj = {"people": people, "tasks": tasks, "edges": edges}
+    if draw(st.booleans()):
+        obj["manifest"] = {"tool": "x"}
+    key = draw(st.sampled_from([None, "people", "tasks", "edges", "edges", "edges"]))
+    if key is not None:
+        wild = st.one_of(_WILD, st.integers(0, 3))
+        if key == "edges":
+            person = st.one_of(st.sampled_from(people or ["p1"]), _ids("p"), wild)
+            task = st.one_of(st.sampled_from(tasks or ["t1"]), _ids("t"), wild)
+            bad = st.one_of(
+                st.sampled_from(edges or [["p1", "t1"]]),  # a repeat
+                st.tuples(person, task).map(list),  # undeclared or malformed ids,
+                st.tuples(person, task).map(list),  # drawn more often
+                st.tuples(st.one_of(person, _LONG), _LONG).map(list),
+                st.lists(wild, max_size=3),
+                wild,
+            )
+        else:
+            # a repeated declaration, or not an id of this side
+            bad = st.one_of(st.sampled_from(obj[key] or ["p1"]), wild, _LONG)
+        obj[key].insert(draw(st.integers(0, len(obj[key]))), draw(bad))
+    if draw(st.integers(0, 9)) == 9:
+        obj[draw(st.sampled_from(["people", "tasks", "edges"]))] = draw(
+            st.sampled_from([None, {}, "p1"])
+        )
+    text = json.dumps(obj)
+    if draw(st.integers(0, 9)) == 9:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _parsed(parse, text: str, fmt: str):
+    """The graph with its task map and edge count, or the error and line."""
+    try:
+        graph = parse(text, fmt)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return graph, graph._tasks, graph.n_edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts())
+def test_csv_parser_matches_the_row_by_row_reference(text):
+    assert _parsed(parse_edge_list, text, "csv") == _parsed(parse_edge_list_reference, text, "csv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_texts())
+def test_json_parser_matches_the_row_by_row_reference(text):
+    assert _parsed(parse_edge_list, text, "json") == _parsed(parse_edge_list_reference, text, "json")
