@@ -375,6 +375,7 @@ def _cmd_optimize(params: dict) -> int:
     best_graph, best_trace = anneal_restarts(
         graph, config, params["restarts"], params["workers"]
     )
+    best_graph = best_graph.freeze()
     manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]
     fmt = params.get("format") or "csv"

@@ -129,32 +129,28 @@ class ScalarDraws:
         r = s >> 122
         return (x >> r | x << 64 - r) & _MASK64
 
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        x = self._next64()
-        self._half = x >> 32
-        return x & _MASK32
-
     def below(self, n: int) -> int:
         """A uniform integer in ``[0, n)``, as ``int(rng.integers(n))``."""
         if n <= 1:
             if n == 1:
                 return 0  # numpy draws nothing for an empty range
             raise ValueError("high <= 0")
-        if n <= 1 << 32:
-            bits, draw = 32, self._next32
-        elif n <= 1 << 63:
-            bits, draw = 64, self._next64
-        else:
+        if n > 1 << 63:
             raise ValueError("high is out of bounds for int64")
+        bits = 32 if n <= 1 << 32 else 64
         mask, threshold = (1 << bits) - 1, (1 << bits) % n
-        m = draw() * n
-        while m & mask < threshold:  # the biased low products
-            m = draw() * n
-        return m >> bits
+        half = self._half
+        while True:
+            if bits == 64:
+                m = self._next64() * n
+            elif half is None:
+                x = self._next64()
+                m, half = (x & _MASK32) * n, x >> 32
+            else:
+                m, half = half * n, None
+            if m & mask >= threshold:  # else one of the biased low products
+                self._half = half
+                return m >> bits
 
     def random(self) -> float:
         """A uniform float in ``[0, 1)``, as ``rng.random()``."""
@@ -237,15 +233,23 @@ def _repair_min_degree(
 ) -> None:
     """Link each of ``nodes`` below ``min_degree`` to as many more of
     ``others`` as it lacks, drawn without replacement from those it is not
-    linked to; both sides have ids ``0, 1, ...``."""
-    import numpy as np
+    linked to; both sides have ids ``0, 1, ...``.
+
+    The draw is ``rng.choice(absent, missing, replace=False)`` over the
+    ascending absent ids, made without building them: ``choice`` draws
+    indices into its population and returns the ids at them, so drawing
+    the indices and mapping each to the absent id of that rank consumes
+    the same random numbers and picks the same ids."""
     for n, own in nodes.items():
         missing = min_degree - len(own)
         if missing > 0:
-            absent = np.ones(len(others), dtype=bool)
-            absent[list(own)] = False
-            picks = rng.choice(np.flatnonzero(absent), size=missing, replace=False)
+            linked = sorted(own)
+            picks = rng.choice(len(others) - len(linked), size=missing, replace=False)
             for m in picks.tolist():
+                for linked_id in linked:  # the m-th id not in own
+                    if linked_id > m:
+                        break
+                    m += 1
                 own.add(m)
                 others[m].add(n)
 

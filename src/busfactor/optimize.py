@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DegenerateError
 from .generators import ScalarDraws, make_rng
@@ -272,8 +273,7 @@ class AnnealingConfig:
             raise ValueError("steps_per_temperature must be at least 1")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     temperature: float
     objective: float  # best objective seen up to this accepted step
@@ -301,16 +301,18 @@ def anneal(
     best edge list, at the end. The slots fall into ``_SEGMENTS`` segments
     of about equal edge shares, fixed as degrees are, and the kernel state
     at each segment start is kept for the current assignment. A move at
-    slot ``k`` resumes from its segment's state and inserts the slots
-    before ``k``. If the move then joins the same components as before (as
-    it always does for a person with one task), no later maximum changes
-    and the area stands. Otherwise the kernel runs on, copying its state at
-    each later start, until the partition rejoins the current one at a
-    start: from there every maximum is the current one, so the area moves
-    by twice the gap between the two sums of maxima. An accepted move
-    takes the copies in place of the saved states before that start and
-    shifts the sums of those from it on; without a rejoin it takes the
-    copies and the area of a full pass.
+    slot ``k`` that joins the same components as before (as it always does
+    for a person with one task) changes no later maximum, and the area
+    stands. Insertions only merge components, so when the segment's saved
+    state already shows this, the move is settled with no kernel work.
+    Otherwise it resumes from a copy of that state, inserts the slots
+    before ``k`` and asks again. Failing that, the kernel runs on, copying
+    its state at each later start, until the partition rejoins the current
+    one at a start: from there every maximum is the current one, so the
+    area moves by twice the gap between the two sums of maxima. An
+    accepted move takes the copies in place of the saved states before
+    that start and shifts the sums of those from it on; without a rejoin
+    it takes the copies and the area of a full pass.
     """
     config.validate()
     if graph.n_edges < 1:
@@ -341,6 +343,7 @@ def anneal(
     rng = ScalarDraws(config.seed)
     denom = _normalization(len(people), n_tasks)
     current_area = best_area = state.area()
+    objective = best_area / denom  # every row shares it until the next best
     best_edges = list(edges)
     trace = AnnealingTrace()
 
@@ -362,14 +365,14 @@ def anneal(
             own.remove(t)
             own.add(t_new)
             j = segment[k]
-            state = saved[j].copy()
-            insertion_maxima(state, held[starts[j]:k])
-            if _joins_same_components(state, own, t, t_new):
-                later, shift = [], 0
-            else:
-                later, shift = _insert_from(
-                    state, held, k, starts[j + 1:], (saved[j + 1:], t, t_new)
-                )
+            later, shift = [], 0
+            if not _joins_same_components(saved[j], own, t, t_new):
+                state = saved[j].copy()
+                insertion_maxima(state, held[starts[j]:k])
+                if not _joins_same_components(state, own, t, t_new):
+                    later, shift = _insert_from(
+                        state, held, k, starts[j + 1:], (saved[j + 1:], t, t_new)
+                    )
             candidate_area = state.area() if shift is None else current_area + 2 * shift
             delta = (candidate_area - current_area) / denom
             if delta >= 0 or rng.random() < math.exp(delta / temperature):
@@ -385,13 +388,8 @@ def anneal(
                 if candidate_area > best_area:
                     best_area = candidate_area
                     best_edges = list(edges)
-                trace.rows.append(
-                    TraceRow(
-                        step=step,
-                        temperature=temperature,
-                        objective=best_area / denom,
-                    )
-                )
+                    objective = best_area / denom
+                trace.rows.append(TraceRow(step, temperature, objective))
             else:
                 own.remove(t_new)
                 own.add(t)

@@ -10,6 +10,7 @@ reproduce files byte for byte.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
@@ -101,8 +102,10 @@ def digest_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the pieces of a rendering as they are yielded."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines([text] if isinstance(text, str) else text)
 
 
 # -- CSV renderers ----------------------------------------------------------------
@@ -142,14 +145,14 @@ class _FloatText(dict):
         return text
 
 
-def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> str:
-    """One row per accepted step. A chain has few distinct temperatures and
-    best objectives, so each is formatted once."""
-    lines = [manifest.comment_line(), "step,temperature,objective"]
+def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> Iterator[str]:
+    """The lines of the trace, one row per accepted step, yielded so that a
+    writer holds no more than a buffer of them. A chain has few distinct
+    temperatures and best objectives, so each is formatted once."""
+    yield manifest.comment_line() + "\nstep,temperature,objective\n"
     text = _FloatText()  # temperatures are positive, objectives non-negative
-    for row in trace.rows:
-        lines.append(f"{row.step},{text[row.temperature]},{text[row.objective]}")
-    return "\n".join(lines) + "\n"
+    for step, temperature, objective in trace.rows:
+        yield f"{step},{text[temperature]},{text[objective]}\n"
 
 
 def paired_decay_csv(paired: PairedDecay, manifest: RunManifest) -> str:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -108,6 +109,16 @@ def sparse_graphs(draw) -> ProjectGraph:
     pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks))
     edges = draw(st.sets(pairs, max_size=30)) if people and tasks else set()
     return ProjectGraph(people=people, tasks=tasks, edges=sorted(edges))
+
+
+def traced_peak(fn, *args) -> int:
+    """tracemalloc's peak, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- brute-force oracles, kept independent of the library's algorithms --------
@@ -229,6 +240,27 @@ def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
         order.append(nxt)
         remaining = remove_people(remaining, [nxt])
     return order
+
+
+# -- reference generator repair: draws from the materialised absent ids ----------
+
+
+def repair_min_degree_reference(
+    nodes: dict[int, set], others: dict[int, set], min_degree: int, rng: np.random.Generator
+) -> None:
+    """Link each of ``nodes`` below ``min_degree`` to as many more of
+    ``others`` as it lacks, drawn by ``rng.choice`` without replacement from
+    the array of the ids it is not linked to; both sides have ids
+    ``0, 1, ...``."""
+    for n, own in nodes.items():
+        missing = min_degree - len(own)
+        if missing > 0:
+            absent = np.ones(len(others), dtype=bool)
+            absent[list(own)] = False
+            picks = rng.choice(np.flatnonzero(absent), size=missing, replace=False)
+            for m in picks.tolist():
+                own.add(m)
+                others[m].add(n)
 
 
 # -- reference parsers: row by row, through the checked ProjectGraph methods ------

@@ -16,7 +16,7 @@ from busfactor.generators import SWEEP_KINDS, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
 
-from conftest import degree_maps
+from conftest import degree_maps, traced_peak
 
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
@@ -238,6 +238,25 @@ def test_commands_freeze_their_input_once(tmp_path, criterion9_path, monkeypatch
     assert frozen == [load_edge_list(criterion9_path).n_edges]
 
 
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_optimize_freezes_the_winner_once(tmp_path, criterion9_path, monkeypatch, restarts):
+    frozen = []
+    freeze = ProjectGraph.freeze
+
+    def counted(graph):
+        frozen.append(graph.n_edges)
+        return freeze(graph)
+
+    monkeypatch.setattr(ProjectGraph, "freeze", counted)
+    argv = ("optimize", "--input", criterion9_path, "--restarts", restarts,
+            "--workers", 1, "--steps-per-temperature", 5, "--cooling-rate", "0.5",
+            "--min-temperature", "1e-3", "--output-prefix", tmp_path / "opt")
+    assert run(*argv) == 0
+    # the input, each chain's best for its score, and the winner for the
+    # graph file and the paired decay curves
+    assert frozen == [load_edge_list(criterion9_path).n_edges] * (restarts + 2)
+
+
 def test_nulltest_holds_no_project_graph_while_sampling(tmp_path, criterion9_path, monkeypatch):
     # kept alive, so that no graph made later can take one of their ids
     earlier = [o for o in gc.get_objects() if isinstance(o, ProjectGraph)]
@@ -267,7 +286,30 @@ def test_trace_csv_renders_every_row():
     want = [manifest.comment_line(), "step,temperature,objective"] + [
         f"{r.step},{fmt_float(r.temperature)},{fmt_float(r.objective)}" for r in rows
     ]
-    assert trace_csv(AnnealingTrace(rows), manifest) == "\n".join(want) + "\n"
+    assert "".join(trace_csv(AnnealingTrace(rows), manifest)) == "\n".join(want) + "\n"
+
+
+def test_trace_is_written_as_it_is_rendered(tmp_path):
+    from busfactor.optimize import AnnealingTrace, TraceRow
+    from busfactor.reporting import RunManifest, trace_csv, write_text
+
+    # a chain's shape: temperatures fall level by level, the best rises
+    # now and then, and rows share their floats as anneal's do
+    temperatures = [0.05 * 0.95**level for level in range(25)]
+    objectives = [0.1 + i / 1000 for i in range(100)]
+    rows = [
+        TraceRow(step, temperatures[step // 200], objectives[step // 50])
+        for step in range(5000)
+    ]
+    manifest = RunManifest("optimize", {}, 0, None, "0")
+    path = tmp_path / "trace.csv"
+
+    def render_and_write():
+        write_text(path, trace_csv(AnnealingTrace(rows), manifest))
+
+    render_and_write()  # warm-up
+    # a whole-file string and its list of lines would hold several times it
+    assert traced_peak(render_and_write) < path.stat().st_size
 
 
 def test_decay_command(tmp_path, fixture_path):

@@ -2,11 +2,13 @@ import hashlib
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from busfactor import generators
 from busfactor.errors import DegenerateError
 from busfactor.generators import (
     SWEEP_KINDS,
@@ -27,6 +29,7 @@ from conftest import (
     engine_snapshots,
     largest_task_component_size,
     random_bipartite,
+    repair_min_degree_reference,
     run_sweep_reference,
 )
 
@@ -101,6 +104,19 @@ def test_generate_min_degree_repair_is_pinned():
     g = generate_powerlaw(GeneratorConfig(n_people=300, n_tasks=400, min_degree=3, seed=7))
     digest = hashlib.sha256(render_edge_list(g).encode()).hexdigest()
     assert digest == "9d2d62836d661b330637bfa3996cb28723c430dd27f790382f1d09514c0b2a52"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.integers(4, 60), st.integers(4, 60), st.integers(1, 4))
+@example(0, 5, 4, 4)  # every person must take every task
+@example(3, 60, 4, 3)
+def test_repair_by_index_matches_reference(seed, n_people, n_tasks, min_degree):
+    config = GeneratorConfig(
+        n_people=n_people, n_tasks=n_tasks, min_degree=min_degree, seed=seed
+    )
+    with mock.patch.object(generators, "_repair_min_degree", repair_min_degree_reference):
+        want = generate_powerlaw(config)
+    assert generate_powerlaw(config) == want
 
 
 def test_generate_config_validation():
