@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -21,7 +22,14 @@ from .coverage import coverage_report, normalize_delta
 from .errors import DegenerateError, InfeasibleError, ParseError
 from .generators import GeneratorConfig, generate_powerlaw, run_sweep, SWEEP_KINDS
 from .graph import FrozenGraph, GraphLike
-from .io import file_format, graph_object, load_edge_list, person_label, render_edge_list
+from .io import (
+    csv_pieces,
+    file_format,
+    graph_object,
+    load_edge_list,
+    person_label,
+    write_text,
+)
 from .optimize import (
     AnnealingConfig,
     NullModelConfig,
@@ -38,7 +46,6 @@ from .reporting import (
     paired_decay_csv,
     sweep_csv,
     trace_csv,
-    write_text,
 )
 from .robustness import bus_factor_greedy
 
@@ -301,7 +308,7 @@ def _cmd_generate(params: dict) -> int:
         min_degree=params["min_degree"],
         seed=params["seed"],
     )
-    graph = generate_powerlaw(config).freeze()
+    graph = generate_powerlaw(config)
     manifest = _manifest("generate", params, None)
     _write_graph(graph, params["output"], params.get("format"), manifest)
     return 0
@@ -311,7 +318,8 @@ def _write_graph(
     graph: GraphLike, path: str, fmt: str | None, manifest: RunManifest
 ) -> None:
     if file_format(path, fmt) == "csv":
-        write_text(path, manifest.comment_line() + "\n" + render_edge_list(graph, "csv"))
+        header = manifest.comment_line() + "\n"
+        write_text(path, itertools.chain([header], csv_pieces(graph)))
     else:
         payload = {"manifest": manifest.to_dict(), **graph_object(graph)}
         write_text(path, canonical_json(payload))

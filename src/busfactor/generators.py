@@ -16,6 +16,7 @@ as it reaches them and keeps no snapshot graph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -24,12 +25,13 @@ from fractions import Fraction
 
 from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
 from .graph import (
+    FrozenGraph,
     GraphLike,
     ProjectGraph,
     as_frozen,
     degree_slots,
-    from_maps,
     require_nondegenerate,
+    thaw,
 )
 from .robustness import _normalization, insertion_area
 
@@ -195,17 +197,20 @@ def _sample_powerlaw_degrees(
     return picks.astype(np.int64) + k_min
 
 
-def generate_powerlaw(config: GeneratorConfig) -> ProjectGraph:
-    """Seeded power-law bipartite graph per the module docstring recipe."""
+def generate_powerlaw(config: GeneratorConfig) -> FrozenGraph:
+    """Seeded power-law bipartite graph per the module docstring recipe, as
+    the dense view of people ``0 .. n_people - 1`` and tasks
+    ``0 .. n_tasks - 1``: each person's sorted task list is built and
+    repaired in place, and no task's person set is ever kept."""
     import numpy as np
     config.validate()
     rng = make_rng(config.seed)
-    n_p, n_t = config.n_people, config.n_tasks
+    n_p, n_t, min_degree = config.n_people, config.n_tasks, config.min_degree
     deg_p = _sample_powerlaw_degrees(
-        rng, n_p, config.exponent_people, config.min_degree, n_t
+        rng, n_p, config.exponent_people, min_degree, n_t
     ).astype(np.float64)
     deg_t = _sample_powerlaw_degrees(
-        rng, n_t, config.exponent_tasks, config.min_degree, n_p
+        rng, n_t, config.exponent_tasks, min_degree, n_p
     ).astype(np.float64)
 
     # match expected degree sums by scaling up the lighter side
@@ -216,51 +221,69 @@ def generate_powerlaw(config: GeneratorConfig) -> ProjectGraph:
         deg_t *= sum_p / sum_t
     total = deg_p.sum()
 
-    people = {p: set() for p in range(n_p)}
-    tasks = {t: set() for t in range(n_t)}
-    for p, own in people.items():
+    adjacency = []
+    for p in range(n_p):
         probs = deg_p[p] * deg_t / total
-        own.update(np.nonzero(rng.random(n_t) < probs)[0].tolist())
+        adjacency.append(np.nonzero(rng.random(n_t) < probs)[0].tolist())
+    task_degree = [0] * n_t
+    for t in itertools.chain.from_iterable(adjacency):
+        task_degree[t] += 1
+
+    for own in adjacency:
+        if len(own) < min_degree:
+            added = _absent_picks(own, n_t, min_degree - len(own), rng)
+            for t in added:
+                task_degree[t] += 1
+            own += added
+            own.sort()
+    # the people of each task still short, ascending, from one pass
+    short = {t: [] for t, degree in enumerate(task_degree) if degree < min_degree}
+    for p, own in enumerate(adjacency):
         for t in own:
-            tasks[t].add(p)
-    _repair_min_degree(people, tasks, config.min_degree, rng)
-    _repair_min_degree(tasks, people, config.min_degree, rng)
-    return from_maps(people, tasks)
+            if t in short:
+                short[t].append(p)
+    for t, linked in short.items():
+        for p in _absent_picks(linked, n_p, min_degree - len(linked), rng):
+            bisect.insort(adjacency[p], t)
+
+    for p, own in enumerate(adjacency):  # one list at a time, to hold less
+        adjacency[p] = tuple(own)
+    return FrozenGraph(tuple(range(n_p)), tuple(range(n_t)), tuple(adjacency))
 
 
-def _repair_min_degree(
-    nodes: dict[int, set], others: dict[int, set], min_degree: int, rng: np.random.Generator
-) -> None:
-    """Link each of ``nodes`` below ``min_degree`` to as many more of
-    ``others`` as it lacks, drawn without replacement from those it is not
-    linked to; both sides have ids ``0, 1, ...``.
+def _absent_picks(
+    linked: list[int], n_others: int, missing: int, rng: np.random.Generator
+) -> list[int]:
+    """``missing`` ids of ``0 .. n_others - 1`` absent from the ascending
+    ``linked``, drawn without replacement: the top-up of a node below the
+    minimum degree.
 
     The draw is ``rng.choice(absent, missing, replace=False)`` over the
     ascending absent ids, made without building them: ``choice`` draws
     indices into its population and returns the ids at them, so drawing
     the indices and mapping each to the absent id of that rank consumes
     the same random numbers and picks the same ids."""
-    for n, own in nodes.items():
-        missing = min_degree - len(own)
-        if missing > 0:
-            linked = sorted(own)
-            picks = rng.choice(len(others) - len(linked), size=missing, replace=False)
-            for m in picks.tolist():
-                for linked_id in linked:  # the m-th id not in own
-                    if linked_id > m:
-                        break
-                    m += 1
-                own.add(m)
-                others[m].add(n)
+    picks = rng.choice(n_others - len(linked), size=missing, replace=False)
+    absent = []
+    for m in picks.tolist():
+        for linked_id in linked:  # the m-th id not in linked
+            if linked_id > m:
+                break
+            m += 1
+        absent.append(m)
+    return absent
 
 
-def disjoint_union(first: ProjectGraph, second: ProjectGraph) -> ProjectGraph:
+def disjoint_union(first: GraphLike, second: GraphLike) -> ProjectGraph:
     """Combine two graphs, relabeling the second's ids above the first's."""
-    p_off, t_off = first.fresh_person_id(), first.fresh_task_id()
-    return ProjectGraph(
-        people=[*first.people, *(p_off + p for p in second.people)],
-        tasks=[*first.tasks, *(t_off + t for t in second.tasks)],
-        edges=[*first.edges(), *((p_off + p, t_off + t) for p, t in second.edges())],
+    first, second = as_frozen(first), as_frozen(second)
+    p_off = first.people[-1] + 1 if first.people else 0
+    t_off = first.tasks[-1] + 1 if first.tasks else 0
+    shift = first.n_tasks
+    return thaw(
+        first.people + tuple(p_off + p for p in second.people),
+        first.tasks + tuple(t_off + t for t in second.tasks),
+        first.adjacency + tuple(tuple(shift + t for t in own) for own in second.adjacency),
     )
 
 

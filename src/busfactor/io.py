@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import ParseError
@@ -74,7 +75,7 @@ def parse_edge_list(data: str | bytes, fmt: str = "csv") -> ProjectGraph:
 def render_edge_list(graph: GraphLike, fmt: str = "csv") -> str:
     """Serialize ``graph`` canonically in the given format."""
     if fmt == "csv":
-        return _render_csv(graph)
+        return "".join(csv_pieces(graph))
     if fmt == "json":
         return _render_json(graph)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -95,8 +96,14 @@ def load_edge_list(path: str | Path, fmt: str | None = None) -> ProjectGraph:
 def save_edge_list(
     graph: GraphLike, path: str | Path, fmt: str | None = None
 ) -> None:
-    text = render_edge_list(graph, file_format(path, fmt))
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    fmt = file_format(path, fmt)
+    write_text(path, csv_pieces(graph) if fmt == "csv" else render_edge_list(graph, fmt))
+
+
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or the pieces of a rendering as they are yielded."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines([text] if isinstance(text, str) else text)
 
 
 # -- CSV ---------------------------------------------------------------------
@@ -146,17 +153,25 @@ def _parse_csv(data: str) -> ProjectGraph:
     return from_maps(people, tasks)
 
 
-def _render_csv(graph: GraphLike) -> str:
+def csv_pieces(graph: GraphLike) -> Iterator[str]:
+    """The canonical CSV of ``graph``, yielded a person's edges at a time,
+    then an isolated node at a time, so that a writer need not hold the
+    whole text."""
     people, tasks, adjacency = as_frozen(graph)
-    task_labels = [task_label(t) for t in tasks]
-    lines = ["person,task"]
+    yield "person,task\n"
+    linked = bytearray(len(tasks))
     for p, own in zip(people, adjacency):
-        prefix = f"{person_label(p)},"
-        lines += [prefix + task_labels[t] for t in own]
-    lines += [f"{person_label(p)}," for p, own in zip(people, adjacency) if not own]
-    linked = set().union(*adjacency)
-    lines += [f",{label}" for t, label in enumerate(task_labels) if t not in linked]
-    return "\n".join(lines) + "\n"
+        if own:
+            prefix = f"{person_label(p)},"
+            yield "".join([f"{prefix}{task_label(tasks[t])}\n" for t in own])
+            for t in own:
+                linked[t] = 1
+    for p, own in zip(people, adjacency):
+        if not own:
+            yield f"{person_label(p)},\n"
+    for t, task in enumerate(tasks):
+        if not linked[t]:
+            yield f",{task_label(task)}\n"
 
 
 # -- JSON --------------------------------------------------------------------

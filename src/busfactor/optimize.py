@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from .errors import DegenerateError
@@ -40,7 +41,7 @@ from .robustness import (
     _normalization,
 )
 
-_DRAW_PAIRS = 1 << 13  # swap attempts per draw chunk; bounds null_sample's memory
+_DRAW_PAIRS = 1 << 10  # swap attempts per draw chunk; bounds null_sample's memory
 _SEGMENTS = 4  # saved kernel states per annealing chain
 
 
@@ -172,15 +173,25 @@ def _null_objectives(
     return values
 
 
-def _map_jobs(fn, jobs: list[tuple], workers: int) -> Iterator:
+def _map_jobs(fn, jobs: Iterable[tuple], workers: int) -> Iterator:
     """``fn(*job)`` for each job, yielded in order as the caller consumes
-    them, so that it need hold no result it has moved past; at most one
-    process per job."""
-    workers = min(workers, len(jobs))
+    them, so that it need hold no result it has moved past. ``jobs`` is
+    drawn as results are taken, with at most ``2 * workers`` in flight, so
+    a lazy iterable is never held in full; at most one process per job."""
+    jobs = iter(jobs)
+    head = list(islice(jobs, workers))
+    workers = min(workers, len(head))
+    jobs = chain(head, jobs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *zip(*jobs))
+            pending = deque()
+            for job in jobs:
+                pending.append(pool.submit(fn, *job))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
     else:
         for job in jobs:
             yield fn(*job)
@@ -245,7 +256,7 @@ def calibrate_pvalues(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     graph = as_frozen(graph)
-    jobs = [(graph, config, j) for j in range(trials)]
+    jobs = ((graph, config, j) for j in range(trials))
     return list(_map_jobs(_calibration_trial, jobs, workers))
 
 
@@ -476,7 +487,7 @@ def anneal_restarts(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     graph = as_frozen(graph)
-    jobs = [(graph, replace(config, seed=config.seed + r)) for r in range(restarts)]
+    jobs = ((graph, replace(config, seed=config.seed + r)) for r in range(restarts))
     # max keeps a running best over the lazy results, the first of ties,
     # so one finished chain is held besides the best, however many run
     results = _map_jobs(_restart, jobs, workers)

@@ -10,7 +10,7 @@ reproduce files byte for byte.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
@@ -100,12 +100,6 @@ class RunManifest:
 
 def digest_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or the pieces of a rendering as they are yielded."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.writelines([text] if isinstance(text, str) else text)
 
 
 # -- CSV renderers ----------------------------------------------------------------

@@ -15,13 +15,15 @@ from busfactor.coverage import _coverage_target, normalize_delta
 from busfactor.errors import DegenerateError, InfeasibleError, ParseError
 from busfactor.generators import (
     SWEEP_KINDS,
+    GeneratorConfig,
     SweepRow,
     SweepTable,
     _checkpoints,
     _perturbation,
+    _sample_powerlaw_degrees,
     make_rng,
 )
-from busfactor.graph import ProjectGraph, thaw
+from busfactor.graph import FrozenGraph, GraphLike, ProjectGraph, from_maps, thaw
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -87,13 +89,20 @@ def random_bipartite(
     return graph
 
 
+def thawed(graph: GraphLike) -> ProjectGraph:
+    """``graph``, thawed if it is a dense view, for helpers that read the
+    ``ProjectGraph`` methods."""
+    return thaw(*graph) if isinstance(graph, FrozenGraph) else graph
+
+
 def covered_task_count(graph: ProjectGraph) -> int:
     """Number of tasks with at least one contributor."""
     return sum(1 for t in graph.tasks if graph.degree_of_task(t))
 
 
-def degree_maps(graph: ProjectGraph) -> tuple[dict[int, int], dict[int, int]]:
+def degree_maps(graph: GraphLike) -> tuple[dict[int, int], dict[int, int]]:
     """Each person's degree and each task's degree."""
+    graph = thawed(graph)
     return (
         {p: graph.degree_of_person(p) for p in graph.people},
         {t: graph.degree_of_task(t) for t in graph.tasks},
@@ -242,10 +251,43 @@ def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
     return order
 
 
-# -- reference generator repair: draws from the materialised absent ids ----------
+# -- reference generator: set maps on both sides, repaired from the absent ids ----
 
 
-def repair_min_degree_reference(
+def generate_powerlaw_reference(config: GeneratorConfig) -> ProjectGraph:
+    """What ``generate_powerlaw`` gives, built as a ``ProjectGraph`` from
+    person-to-tasks and task-to-people set maps. Each repair draws by
+    ``rng.choice`` from the array of absent ids itself, where the library
+    draws ranks into it."""
+    config.validate()
+    rng = make_rng(config.seed)
+    n_p, n_t = config.n_people, config.n_tasks
+    deg_p = _sample_powerlaw_degrees(
+        rng, n_p, config.exponent_people, config.min_degree, n_t
+    ).astype(np.float64)
+    deg_t = _sample_powerlaw_degrees(
+        rng, n_t, config.exponent_tasks, config.min_degree, n_p
+    ).astype(np.float64)
+    sum_p, sum_t = deg_p.sum(), deg_t.sum()
+    if sum_p < sum_t:
+        deg_p *= sum_t / sum_p
+    elif sum_t < sum_p:
+        deg_t *= sum_p / sum_t
+    total = deg_p.sum()
+
+    people = {p: set() for p in range(n_p)}
+    tasks = {t: set() for t in range(n_t)}
+    for p, own in people.items():
+        probs = deg_p[p] * deg_t / total
+        own.update(np.nonzero(rng.random(n_t) < probs)[0].tolist())
+        for t in own:
+            tasks[t].add(p)
+    _repair_min_degree_reference(people, tasks, config.min_degree, rng)
+    _repair_min_degree_reference(tasks, people, config.min_degree, rng)
+    return from_maps(people, tasks)
+
+
+def _repair_min_degree_reference(
     nodes: dict[int, set], others: dict[int, set], min_degree: int, rng: np.random.Generator
 ) -> None:
     """Link each of ``nodes`` below ``min_degree`` to as many more of
@@ -504,6 +546,7 @@ def null_sample_reference(
     (p1,t1), (p2,t2) are crossed to (p1,t2), (p2,t1) when all four nodes are
     distinct and neither crossed edge exists.
     """
+    graph = thawed(graph)
     config.validate()
     if graph.n_edges < 2:
         return SwapResult(graph=graph.copy(), attempts=0, swaps=0)
@@ -653,6 +696,7 @@ def checkpoint_graphs_reference(
     graph: ProjectGraph, kind: str, total_steps: int, stride: int, seed: int
 ) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
     """Materialize (modification count, snapshot) pairs, baseline included."""
+    graph = thawed(graph)
     notes: list[str] = []
     snapshots: list[tuple[int, ProjectGraph]] = [(0, graph.copy())]
     truncated = False

@@ -290,8 +290,9 @@ def test_trace_csv_renders_every_row():
 
 
 def test_trace_is_written_as_it_is_rendered(tmp_path):
+    from busfactor.io import write_text
     from busfactor.optimize import AnnealingTrace, TraceRow
-    from busfactor.reporting import RunManifest, trace_csv, write_text
+    from busfactor.reporting import RunManifest, trace_csv
 
     # a chain's shape: temperatures fall level by level, the best rises
     # now and then, and rows share their floats as anneal's do
@@ -309,6 +310,54 @@ def test_trace_is_written_as_it_is_rendered(tmp_path):
 
     render_and_write()  # warm-up
     # a whole-file string and its list of lines would hold several times it
+    assert traced_peak(render_and_write) < path.stat().st_size
+
+
+def test_generate_holds_no_project_graph(tmp_path, monkeypatch):
+    # kept alive, so that no graph made later can take one of their ids
+    earlier = [o for o in gc.get_objects() if isinstance(o, ProjectGraph)]
+    known = {id(o) for o in earlier}
+    held = []
+    generate, write_text = cli.generate_powerlaw, cli.write_text
+
+    def inspect():
+        held.extend(
+            o for o in gc.get_objects() if isinstance(o, ProjectGraph) and id(o) not in known
+        )
+
+    def generated(*args, **kwargs):
+        graph = generate(*args, **kwargs)
+        inspect()
+        return graph
+
+    def written(*args, **kwargs):
+        inspect()
+        return write_text(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_powerlaw", generated)
+    monkeypatch.setattr(cli, "write_text", written)
+    for name in ("graph.csv", "graph.json"):
+        argv = ("generate", "--people", 30, "--tasks", 40, "--min-degree", 2)
+        assert run(*argv, "--output", tmp_path / name) == 0
+    assert held == []
+
+
+@pytest.mark.parametrize("writer", ["save_edge_list", "cli._write_graph"])
+def test_graph_csv_is_written_as_it_is_rendered(tmp_path, writer):
+    from busfactor.reporting import RunManifest
+
+    graph = generate_powerlaw(GeneratorConfig(n_people=3000, n_tasks=4000, seed=1))
+    manifest = RunManifest("generate", {}, 1, None, "0")
+    path = tmp_path / "graph.csv"
+
+    def render_and_write():
+        if writer == "save_edge_list":
+            save_edge_list(graph, path)
+        else:
+            cli._write_graph(graph, str(path), None, manifest)
+
+    render_and_write()  # warm-up
+    # the whole text, or its list of lines, would hold more than the file
     assert traced_peak(render_and_write) < path.stat().st_size
 
 

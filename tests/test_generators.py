@@ -2,13 +2,11 @@ import hashlib
 import re
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from busfactor import generators
 from busfactor.errors import DegenerateError
 from busfactor.generators import (
     SWEEP_KINDS,
@@ -27,9 +25,9 @@ from conftest import (
     checkpoint_graphs_reference,
     degree_maps,
     engine_snapshots,
+    generate_powerlaw_reference,
     largest_task_component_size,
     random_bipartite,
-    repair_min_degree_reference,
     run_sweep_reference,
 )
 
@@ -107,16 +105,25 @@ def test_generate_min_degree_repair_is_pinned():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32), st.integers(4, 60), st.integers(4, 60), st.integers(1, 4))
-@example(0, 5, 4, 4)  # every person must take every task
-@example(3, 60, 4, 3)
-def test_repair_by_index_matches_reference(seed, n_people, n_tasks, min_degree):
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.floats(1.1, 4.0),
+    st.floats(1.1, 4.0),
+    st.integers(1, 4),
+)
+@example(0, 5, 4, 2.5, 2.5, 4)  # every person must take every task
+@example(3, 60, 4, 2.5, 2.5, 3)
+@example(11, 40, 30, 1.5, 3.5, 2)
+def test_generator_matches_reference(
+    seed, n_people, n_tasks, exponent_people, exponent_tasks, min_degree
+):
+    min_degree = min(min_degree, n_people, n_tasks)
     config = GeneratorConfig(
-        n_people=n_people, n_tasks=n_tasks, min_degree=min_degree, seed=seed
+        n_people, n_tasks, exponent_people, exponent_tasks, min_degree, seed
     )
-    with mock.patch.object(generators, "_repair_min_degree", repair_min_degree_reference):
-        want = generate_powerlaw(config)
-    assert generate_powerlaw(config) == want
+    assert generate_powerlaw(config) == generate_powerlaw_reference(config).freeze()
 
 
 def test_generate_config_validation():

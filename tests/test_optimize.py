@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import replace
 from unittest import mock
 
@@ -253,7 +254,8 @@ def test_calibration_rejects_degenerate_graph():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace ``ProcessPoolExecutor`` with a stand-in that records each
-    ``max_workers`` and maps in this process, spawning nothing."""
+    ``max_workers`` and runs each submitted job in this process, spawning
+    nothing."""
     sizes = []
 
     class RecordingPool:
@@ -266,8 +268,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     # _map_jobs imports the pool class when it opens a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
@@ -353,6 +357,21 @@ def test_restarts_hold_the_best_chain_and_one_more():
     # the best chain and the one just finished, about two chains' peak;
     # holding all eight results until the end took 6.5 times one
     assert peak(8) < 2 * peak(1)
+
+
+def test_restarts_memory_does_not_grow_with_their_count(k22):
+    # every chain on the rigid k22 is alike, so only what is held per
+    # restart could make the peak grow
+    config = replace(SHORT_SA, cooling_rate=0.5, steps_per_temperature=2, min_temperature=1e-2)
+
+    def peak(restarts):
+        return traced_peak(anneal_restarts, k22, config, restarts, 1)
+
+    # warm-up: a first run of many chains leaves a few tuples per chain in
+    # the interpreter's free lists, which later runs reuse
+    anneal_restarts(k22, config, 1000)
+    # a list of 50 jobs would hold about 8 kB more than one of 5
+    assert peak(50) - peak(5) < 1 << 10
 
 
 def test_anneal_preserves_person_degrees_and_coverage():
