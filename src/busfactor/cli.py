@@ -25,7 +25,7 @@ from .graph import FrozenGraph, GraphLike
 from .io import (
     csv_pieces,
     file_format,
-    graph_object,
+    json_pieces,
     load_edge_list,
     person_label,
     write_text,
@@ -254,8 +254,7 @@ def _require(params: dict, *names: str) -> None:
 def _load_graph(params: dict) -> tuple[FrozenGraph, str]:
     _require(params, "input")
     path = params["input"]
-    graph = load_edge_list(path, params.get("format")).freeze()
-    return graph, digest_file(path)
+    return load_edge_list(path, params.get("format")), digest_file(path)
 
 
 def _manifest(command: str, params: dict, input_digest: str | None) -> RunManifest:
@@ -318,11 +317,10 @@ def _write_graph(
     graph: GraphLike, path: str, fmt: str | None, manifest: RunManifest
 ) -> None:
     if file_format(path, fmt) == "csv":
-        header = manifest.comment_line() + "\n"
-        write_text(path, itertools.chain([header], csv_pieces(graph)))
+        pieces = itertools.chain([manifest.comment_line() + "\n"], csv_pieces(graph))
     else:
-        payload = {"manifest": manifest.to_dict(), **graph_object(graph)}
-        write_text(path, canonical_json(payload))
+        pieces = json_pieces(graph, canonical_json(manifest.to_dict()))
+    write_text(path, pieces)
 
 
 def _cmd_sweep(params: dict) -> int:
@@ -383,7 +381,6 @@ def _cmd_optimize(params: dict) -> int:
     best_graph, best_trace = anneal_restarts(
         graph, config, params["restarts"], params["workers"]
     )
-    best_graph = best_graph.freeze()
     manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]
     fmt = params.get("format") or "csv"

@@ -27,11 +27,9 @@ from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
 from .graph import (
     FrozenGraph,
     GraphLike,
-    ProjectGraph,
     as_frozen,
     degree_slots,
     require_nondegenerate,
-    thaw,
 )
 from .robustness import _normalization, insertion_area
 
@@ -274,13 +272,14 @@ def _absent_picks(
     return absent
 
 
-def disjoint_union(first: GraphLike, second: GraphLike) -> ProjectGraph:
-    """Combine two graphs, relabeling the second's ids above the first's."""
+def disjoint_union(first: GraphLike, second: GraphLike) -> FrozenGraph:
+    """Combine two graphs, relabeling the second's ids above the first's;
+    the concatenated views stay sorted."""
     first, second = as_frozen(first), as_frozen(second)
     p_off = first.people[-1] + 1 if first.people else 0
     t_off = first.tasks[-1] + 1 if first.tasks else 0
     shift = first.n_tasks
-    return thaw(
+    return FrozenGraph(
         first.people + tuple(p_off + p for p in second.people),
         first.tasks + tuple(t_off + t for t in second.tasks),
         first.adjacency + tuple(tuple(shift + t for t in own) for own in second.adjacency),

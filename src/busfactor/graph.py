@@ -2,8 +2,9 @@
 
 People and tasks are plain non-negative integers living in two disjoint
 namespaces; an edge (p, t) means person ``p`` contributes to task ``t``.
-Analyses take a graph or its frozen view and treat both as read-only;
-code that needs to perturb a graph works on its own :meth:`ProjectGraph.copy`.
+Every producer of a graph returns the frozen view; :class:`ProjectGraph`
+is for graphs built by hand. Analyses take either and treat both as
+read-only.
 """
 
 from __future__ import annotations
@@ -140,22 +141,16 @@ class ProjectGraph:
         )
 
     def copy(self) -> ProjectGraph:
-        return from_maps(
-            {p: set(adj) for p, adj in self._people.items()},
-            {t: set(adj) for t, adj in self._tasks.items()},
-        )
+        graph = ProjectGraph.__new__(ProjectGraph)
+        graph._people = {p: set(adj) for p, adj in self._people.items()}
+        graph._tasks = {t: set(adj) for t, adj in self._tasks.items()}
+        graph._n_edges = self._n_edges
+        return graph
 
     def freeze(self) -> FrozenGraph:
-        """Sorted people and tasks with per-person dense task indices.
-
-        Built afresh on every call: the graph is mutable, so a cached view
-        could go stale.
-        """
-        people = tuple(sorted(self._people))
-        tasks = tuple(sorted(self._tasks))
-        index = {t: i for i, t in enumerate(tasks)}.__getitem__
-        adjacency = tuple(tuple(sorted(map(index, self._people[p]))) for p in people)
-        return FrozenGraph(people, tasks, adjacency)
+        """The dense view, built afresh on every call: the graph is
+        mutable, so a cached view could go stale."""
+        return freeze_maps(self._people, self._tasks)
 
     # -- mutation ----------------------------------------------------------
 
@@ -223,15 +218,17 @@ def thaw(
     return ProjectGraph(people=people, tasks=tasks, edges=edges)
 
 
-def from_maps(
-    people: dict[PersonId, set[TaskId]], tasks: dict[TaskId, set[PersonId]]
-) -> ProjectGraph:
-    """The graph that owns ``people`` (each person's task set) and ``tasks``
-    (each task's person set), for callers that check each edge themselves."""
-    graph = ProjectGraph.__new__(ProjectGraph)
-    graph._people, graph._tasks = people, tasks
-    graph._n_edges = sum(map(len, people.values()))
-    return graph
+def freeze_maps(
+    people: dict[PersonId, Iterable[TaskId]], tasks: Iterable[TaskId]
+) -> FrozenGraph:
+    """Sorted people and tasks with per-person dense task indices, from
+    ``people`` (each person's task ids) and the task ids, which hold every
+    task of ``people``."""
+    people_ids = tuple(sorted(people))
+    task_ids = tuple(sorted(tasks))
+    index = {t: i for i, t in enumerate(task_ids)}.__getitem__
+    adjacency = tuple(tuple(sorted(map(index, people[p]))) for p in people_ids)
+    return FrozenGraph(people_ids, task_ids, adjacency)
 
 
 GraphLike = ProjectGraph | FrozenGraph

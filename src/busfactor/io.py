@@ -10,8 +10,9 @@ Two interchangeable on-disk formats:
 * JSON object with ``people``, ``tasks`` and ``edges`` arrays using the same
   prefixed ids. Unknown keys (e.g. an embedded manifest) are ignored.
 
-Saving is canonical: edges sorted by (person, task), then isolated people,
-then isolated tasks; reserializing a loaded file is byte-identical.
+Parsing returns the frozen view. Saving is canonical and streamed: edges
+sorted by (person, task), then isolated people, then isolated tasks (in JSON
+under sorted keys); reserializing a loaded file is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import ParseError
-from .graph import GraphLike, ProjectGraph, as_frozen, from_maps
+from .graph import FrozenGraph, GraphLike, as_frozen, freeze_maps
 
 FORMATS = ("csv", "json")
 
@@ -51,34 +52,35 @@ def _parse_id(field: str, side: str, line: int | None = None) -> int:
         raise ParseError(str(exc), line) from exc
 
 
-def _declare(field: str, side: str, ids: dict, nodes: dict, line: int | None = None) -> int:
-    """Add the new node ``field``, an id of ``side``, to ``nodes`` (node to
-    neighbours) and to ``ids`` (each label read so far to its id)."""
+def _declare(field: str, side: str, ids: dict, line: int | None = None) -> int:
+    """Add the new node ``field``, an id of ``side``, to ``ids`` (each label
+    read so far to its id, one to one: no id has two spellings)."""
     if field in ids:
         raise ParseError(f"duplicate declaration of {field}", line)
     ids[field] = n = _parse_id(field, side, line)
-    nodes[n] = set()
     return n
 
 
-def parse_edge_list(data: str | bytes, fmt: str = "csv") -> ProjectGraph:
-    """Parse edge-list ``data`` in the given format into a graph."""
+def parse_edge_list(data: str | bytes, fmt: str = "csv") -> FrozenGraph:
+    """Parse edge-list ``data`` in the given format into a frozen graph."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if fmt == "csv":
-        return _parse_csv(data)
-    if fmt == "json":
-        return _parse_json(data)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return (_parse_csv if _known(fmt) == "csv" else _parse_json)(data)
 
 
 def render_edge_list(graph: GraphLike, fmt: str = "csv") -> str:
     """Serialize ``graph`` canonically in the given format."""
-    if fmt == "csv":
-        return "".join(csv_pieces(graph))
-    if fmt == "json":
-        return _render_json(graph)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return "".join(_pieces(graph, fmt))
+
+
+def _pieces(graph: GraphLike, fmt: str) -> Iterator[str]:
+    return (csv_pieces if _known(fmt) == "csv" else json_pieces)(graph)
+
+
+def _known(fmt: str) -> str:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return fmt
 
 
 def file_format(path: str | Path, fmt: str | None = None) -> str:
@@ -89,15 +91,14 @@ def file_format(path: str | Path, fmt: str | None = None) -> str:
     return "json" if Path(path).suffix == ".json" else "csv"
 
 
-def load_edge_list(path: str | Path, fmt: str | None = None) -> ProjectGraph:
+def load_edge_list(path: str | Path, fmt: str | None = None) -> FrozenGraph:
     return parse_edge_list(Path(path).read_bytes(), file_format(path, fmt))
 
 
 def save_edge_list(
     graph: GraphLike, path: str | Path, fmt: str | None = None
 ) -> None:
-    fmt = file_format(path, fmt)
-    write_text(path, csv_pieces(graph) if fmt == "csv" else render_edge_list(graph, fmt))
+    write_text(path, _pieces(graph, file_format(path, fmt)))
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
@@ -109,9 +110,8 @@ def write_text(path: str | Path, text: str | Iterable[str]) -> None:
 # -- CSV ---------------------------------------------------------------------
 
 
-def _parse_csv(data: str) -> ProjectGraph:
-    people: dict[int, set[int]] = {}
-    tasks: dict[int, set[int]] = {}
+def _parse_csv(data: str) -> FrozenGraph:
+    people: dict[int, set[int]] = {}  # each person's task ids
     person_ids: dict[str, int] = {}  # see _declare
     task_ids: dict[str, int] = {}
     header_seen = False
@@ -133,24 +133,24 @@ def _parse_csv(data: str) -> ProjectGraph:
         if p_field and t_field:
             p = person_ids.get(p_field)
             if p is None:
-                p = _declare(p_field, "person", person_ids, people, lineno)
+                p = _declare(p_field, "person", person_ids, lineno)
+                people[p] = set()
             t = task_ids.get(t_field)
             if t is None:
-                t = _declare(t_field, "task", task_ids, tasks, lineno)
+                t = _declare(t_field, "task", task_ids, lineno)
             own = people[p]
             if t in own:
                 raise ParseError(f"duplicate edge ({p_field},{t_field})", lineno)
             own.add(t)
-            tasks[t].add(p)
         elif p_field:
-            _declare(p_field, "person", person_ids, people, lineno)
+            people[_declare(p_field, "person", person_ids, lineno)] = set()
         elif t_field:
-            _declare(t_field, "task", task_ids, tasks, lineno)
+            _declare(t_field, "task", task_ids, lineno)
         else:
             raise ParseError("empty row", lineno)
     if not header_seen:
         raise ParseError("missing 'person,task' header")
-    return from_maps(people, tasks)
+    return freeze_maps(people, task_ids.values())
 
 
 def csv_pieces(graph: GraphLike) -> Iterator[str]:
@@ -177,7 +177,7 @@ def csv_pieces(graph: GraphLike) -> Iterator[str]:
 # -- JSON --------------------------------------------------------------------
 
 
-def _parse_json(data: str) -> ProjectGraph:
+def _parse_json(data: str) -> FrozenGraph:
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -190,14 +190,13 @@ def _parse_json(data: str) -> ProjectGraph:
         if not isinstance(obj.get(key), list):
             raise ParseError(f"missing or non-array {key!r} field")
 
-    people: dict[int, set[int]] = {}
-    tasks: dict[int, set[int]] = {}
+    people: dict[int, set[int]] = {}  # each person's task ids
     person_ids: dict[str, int] = {}  # see _declare
     task_ids: dict[str, int] = {}
     for label in obj["people"]:
-        _declare(str(label), "person", person_ids, people)
+        people[_declare(str(label), "person", person_ids)] = set()
     for label in obj["tasks"]:
-        _declare(str(label), "task", task_ids, tasks)
+        _declare(str(label), "task", task_ids)
     for pair in obj["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"edge {pair!r} is not a [person, task] pair")
@@ -210,24 +209,34 @@ def _parse_json(data: str) -> ProjectGraph:
         if t in own:
             raise ParseError(f"duplicate edge [{pair[0]}, {pair[1]}]")
         own.add(t)
-        tasks[t].add(p)
-    return from_maps(people, tasks)
+    return freeze_maps(people, task_ids.values())
 
 
-def graph_object(graph: GraphLike) -> dict:
-    """The ``people``, ``tasks`` and ``edges`` arrays of the JSON format, in
-    canonical order; writers may add keys, such as a manifest."""
+def json_pieces(graph: GraphLike, manifest: str | None = None) -> Iterator[str]:
+    """The canonical JSON of ``graph``: keys sorted, two-space indent,
+    yielded a person's edges at a time, then a node at a time, as
+    :func:`csv_pieces` is. ``manifest`` is the text of a JSON value, as
+    ``reporting.canonical_json`` renders it, put under a ``manifest`` key."""
     people, tasks, adjacency = as_frozen(graph)
-    return {
-        "people": [person_label(p) for p in people],
-        "tasks": [task_label(t) for t in tasks],
-        "edges": [
-            [person_label(p), task_label(tasks[t])]
-            for p, own in zip(people, adjacency)
-            for t in own
-        ],
-    }
+    yield '{\n  "edges": '
+    yield from _json_array(
+        ",".join([f'\n    [\n      "{person_label(p)}",\n      "{task_label(tasks[t])}"\n    ]'
+                  for t in own])
+        for p, own in zip(people, adjacency) if own
+    )
+    if manifest is not None:  # a rendered string holds no raw newline
+        yield ',\n  "manifest": ' + manifest.rstrip("\n").replace("\n", "\n  ")
+    for key, ids, label in (("people", people, person_label), ("tasks", tasks, task_label)):
+        yield f',\n  "{key}": '
+        yield from _json_array(f'\n    "{label(i)}"' for i in ids)
+    yield "\n}\n"
 
 
-def _render_json(graph: GraphLike) -> str:
-    return json.dumps(graph_object(graph), indent=2, sort_keys=True) + "\n"
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """A JSON array, one level in, of ``items``: runs of elements, each on
+    its own indented lines and the run's elements joined by commas."""
+    sep = "["
+    for item in items:
+        yield sep + item
+        sep = ","
+    yield "[]" if sep == "[" else "\n  ]"

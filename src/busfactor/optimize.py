@@ -16,21 +16,19 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from .errors import DegenerateError
 from .generators import ScalarDraws, make_rng
 from .graph import (
+    FrozenGraph,
     GraphLike,
     PersonId,
-    ProjectGraph,
     TaskId,
     as_frozen,
     degree_slots,
     require_nondegenerate,
-    thaw,
 )
 from .robustness import (
     DecayCurve,
@@ -63,17 +61,13 @@ class SwapResult:
     """One degree-preserving rewiring in dense form: ``held[k]`` is the set
     of indices into ``tasks`` covered by ``people[k]``. ``swaps == 0`` means
     the graph was returned unchanged (too few edges, or rigid like a
-    complete graph). ``graph`` is built from ``held`` on first access."""
+    complete graph)."""
 
     people: tuple[PersonId, ...]
     tasks: tuple[TaskId, ...]
     held: tuple[set[int], ...]
     attempts: int
     swaps: int
-
-    @cached_property
-    def graph(self) -> ProjectGraph:
-        return thaw(self.people, self.tasks, self.held)
 
 
 def null_sample(
@@ -92,7 +86,7 @@ def null_sample(
     only, and holds task index ``task[i]``. Since ``task[i]`` is always in
     ``owned[i]``, the crossed-edge check
     ``task[j] in owned[i]`` also rejects ``i == j``, a shared person and a
-    shared task. No graph is built unless ``.graph`` is read.
+    shared task. No graph is built.
 
     The ``2 * attempts`` edge draws are streamed in chunks of at most
     ``2 * _DRAW_PAIRS``; concatenated, the chunks equal one
@@ -297,7 +291,7 @@ class AnnealingTrace:
 
 def anneal(
     graph: GraphLike, config: AnnealingConfig
-) -> tuple[ProjectGraph, AnnealingTrace]:
+) -> tuple[FrozenGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
     Proposal: take a random edge (p, t) and a random task the person does
@@ -308,8 +302,8 @@ def anneal(
 
     The chain runs on dense indices: people sit at fixed slots in
     reinsertion order (the greedy order reversed), scored by the
-    :func:`insertion_maxima` kernel, and a graph is built once, from the
-    best edge list, at the end. The slots fall into ``_SEGMENTS`` segments
+    :func:`insertion_maxima` kernel, and the frozen view is built once, from
+    the best edge list, at the end. The slots fall into ``_SEGMENTS`` segments
     of about equal edge shares, fixed as degrees are, and the kernel state
     at each segment start is kept for the current assignment. A move at
     slot ``k`` that joins the same components as before (as it always does
@@ -344,7 +338,7 @@ def anneal(
         len(own) < n_tasks and any(task_degree[t] >= 2 for t in own)
         for own in held
     ):
-        return thaw(*frozen), AnnealingTrace()
+        return frozen, AnnealingTrace()
 
     starts = _segment_starts(held)
     segment = [bisect_right(starts, k) - 1 for k in range(len(held))]
@@ -405,8 +399,9 @@ def anneal(
                 own.remove(t_new)
                 own.add(t)
         temperature *= config.cooling_rate
-    edges = ((people[reinsertion[k]], tasks[t]) for k, t in best_edges)
-    return ProjectGraph(people=people, tasks=tasks, edges=edges), trace
+    runs = iter(best_edges)  # edge i keeps its person: a run of their degree
+    adjacency = tuple(tuple(sorted(t for _, t in islice(runs, len(own)))) for own in adjacency)
+    return FrozenGraph(people, tasks, adjacency), trace
 
 
 def _segment_starts(held: list[set[int]]) -> list[int]:
@@ -479,7 +474,7 @@ def _restart(graph: GraphLike, config: AnnealingConfig):
 
 def anneal_restarts(
     graph: GraphLike, config: AnnealingConfig, restarts: int, workers: int = 1
-) -> tuple[ProjectGraph, AnnealingTrace]:
+) -> tuple[FrozenGraph, AnnealingTrace]:
     """The best of ``restarts`` independent :func:`anneal` chains, seeded
     ``config.seed + r``: the highest greedy robustness wins, ties to the
     smallest seed. The result does not depend on ``workers``."""

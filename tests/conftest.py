@@ -23,7 +23,7 @@ from busfactor.generators import (
     _sample_powerlaw_degrees,
     make_rng,
 )
-from busfactor.graph import FrozenGraph, GraphLike, ProjectGraph, from_maps, thaw
+from busfactor.graph import FrozenGraph, GraphLike, ProjectGraph, thaw
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -93,6 +93,22 @@ def thawed(graph: GraphLike) -> ProjectGraph:
     """``graph``, thawed if it is a dense view, for helpers that read the
     ``ProjectGraph`` methods."""
     return thaw(*graph) if isinstance(graph, FrozenGraph) else graph
+
+
+def swapped(result) -> ProjectGraph:
+    """The graph of a ``null_sample`` result, thawed from its ``held`` sets."""
+    return thaw(result.people, result.tasks, result.held)
+
+
+def from_maps(
+    people: dict[int, set[int]], tasks: dict[int, set[int]]
+) -> ProjectGraph:
+    """The graph that owns ``people`` (each person's task set) and ``tasks``
+    (each task's person set), for callers that check each edge themselves."""
+    graph = ProjectGraph.__new__(ProjectGraph)
+    graph._people, graph._tasks = people, tasks
+    graph._n_edges = sum(map(len, people.values()))
+    return graph
 
 
 def covered_task_count(graph: ProjectGraph) -> int:
@@ -440,7 +456,7 @@ def _has_feasible_move(graph: ProjectGraph) -> bool:
 
 
 def anneal_reference(
-    graph: ProjectGraph, config: AnnealingConfig
+    graph: GraphLike, config: AnnealingConfig
 ) -> tuple[ProjectGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
@@ -450,6 +466,7 @@ def anneal_reference(
     covered task stays covered; person degrees are invariant, which also
     pins the greedy removal order once and for all.
     """
+    graph = thawed(graph)
     config.validate()
     if graph.n_edges < 1:
         raise DegenerateError("annealing needs at least one edge")

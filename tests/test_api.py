@@ -31,15 +31,16 @@ from busfactor import (
     robustness,
     run_sweep,
 )
-from busfactor.generators import SWEEP_KINDS
-from busfactor.graph import ProjectGraph
-from busfactor.io import graph_object
+from busfactor.generators import SWEEP_KINDS, GeneratorConfig, disjoint_union, generate_powerlaw
+from busfactor.graph import FrozenGraph, ProjectGraph
+from busfactor.io import json_pieces, load_edge_list, parse_edge_list, save_edge_list
 from busfactor.robustness import greedy_order
 
 from conftest import sparse_graphs
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
+SRC = ROOT / "src" / "busfactor"
 
 
 def _module(name: str) -> ast.Module:
@@ -166,7 +167,7 @@ _ANALYSES = {
     "compare_decay": lambda g: compare_decay(g, g),
     "render_edge_list csv": lambda g: render_edge_list(g, "csv"),
     "render_edge_list json": lambda g: render_edge_list(g, "json"),
-    "graph_object": graph_object,
+    "json_pieces": lambda g: "".join(json_pieces(g)),
 }
 
 
@@ -200,3 +201,40 @@ def test_analyses_freeze_a_project_graph_once(monkeypatch, name):
     monkeypatch.setattr(ProjectGraph, "freeze", counted)
     _ANALYSES[name](graph)
     assert sum(g is graph for g in frozen) == 1
+
+
+def test_producers_return_the_frozen_view(tmp_path):
+    first = generate_powerlaw(GeneratorConfig(n_people=12, n_tasks=15, seed=4))
+    second = generate_powerlaw(GeneratorConfig(n_people=10, n_tasks=12, seed=5))
+    silo = disjoint_union(first, second)
+    save_edge_list(silo, tmp_path / "silo.json")
+    produced = {
+        "generate_powerlaw": first,
+        "disjoint_union": silo,
+        "parse_edge_list csv": parse_edge_list(render_edge_list(silo, "csv"), "csv"),
+        "parse_edge_list json": parse_edge_list(render_edge_list(silo, "json"), "json"),
+        "load_edge_list": load_edge_list(tmp_path / "silo.json"),
+        "anneal": anneal(silo, _ANNEAL)[0],
+        "anneal_restarts": anneal_restarts(silo, _ANNEAL, 2)[0],
+    }
+    for name, graph in produced.items():
+        assert type(graph) is FrozenGraph, name
+
+
+def test_only_the_graph_module_names_project_graph():
+    # every producer returns the frozen view; the mutable graph is for
+    # graphs built by hand, and lives in graph.py (and the public names)
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("graph.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if "ProjectGraph" in names:
+                naming.append(path.name)
+    assert naming == []

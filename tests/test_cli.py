@@ -216,6 +216,22 @@ def test_optimize_outputs(tmp_path):
     assert len(decay_lines) == 2 + silo.n_people + 1
 
 
+def _graph_work(monkeypatch) -> list[str]:
+    """Records each ``ProjectGraph`` made or frozen. graph.py, the one
+    module that names the class, makes one only through ``__init__``
+    (``ProjectGraph(...)``, ``thaw``) or ``copy``."""
+    calls = []
+    for method in ("__init__", "copy", "freeze"):
+        original = getattr(ProjectGraph, method)
+
+        def counted(graph, *args, original=original, method=method, **kwargs):
+            calls.append(method)
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(ProjectGraph, method, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -226,35 +242,21 @@ def test_optimize_outputs(tmp_path):
     ],
 )
 def test_commands_freeze_their_input_once(tmp_path, criterion9_path, monkeypatch, argv):
-    frozen = []
-    freeze = ProjectGraph.freeze
-
-    def counted(graph):
-        frozen.append(graph.n_edges)
-        return freeze(graph)
-
-    monkeypatch.setattr(ProjectGraph, "freeze", counted)
+    # the parser hands over the frozen view: no command builds or freezes a graph
+    calls = _graph_work(monkeypatch)
     assert run(*argv, "--input", criterion9_path, "--output", tmp_path / "out") == 0
-    assert frozen == [load_edge_list(criterion9_path).n_edges]
+    assert calls == []
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_optimize_freezes_the_winner_once(tmp_path, criterion9_path, monkeypatch, restarts):
-    frozen = []
-    freeze = ProjectGraph.freeze
-
-    def counted(graph):
-        frozen.append(graph.n_edges)
-        return freeze(graph)
-
-    monkeypatch.setattr(ProjectGraph, "freeze", counted)
+    # the input, each chain's best and the winner are all frozen views
+    calls = _graph_work(monkeypatch)
     argv = ("optimize", "--input", criterion9_path, "--restarts", restarts,
             "--workers", 1, "--steps-per-temperature", 5, "--cooling-rate", "0.5",
             "--min-temperature", "1e-3", "--output-prefix", tmp_path / "opt")
     assert run(*argv) == 0
-    # the input, each chain's best for its score, and the winner for the
-    # graph file and the paired decay curves
-    assert frozen == [load_edge_list(criterion9_path).n_edges] * (restarts + 2)
+    assert calls == []
 
 
 def test_nulltest_holds_no_project_graph_while_sampling(tmp_path, criterion9_path, monkeypatch):
@@ -336,19 +338,24 @@ def test_generate_holds_no_project_graph(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "generate_powerlaw", generated)
     monkeypatch.setattr(cli, "write_text", written)
-    for name in ("graph.csv", "graph.json"):
-        argv = ("generate", "--people", 30, "--tasks", 40, "--min-degree", 2)
-        assert run(*argv, "--output", tmp_path / name) == 0
+    argv = ("generate", "--people", 30, "--tasks", 40, "--min-degree", 2)
+    for output in (("graph.csv",), ("graph.json",), ("graph.out", "--format", "json")):
+        name, *fmt = output
+        assert run(*argv, *fmt, "--output", tmp_path / name) == 0
     assert held == []
 
 
-@pytest.mark.parametrize("writer", ["save_edge_list", "cli._write_graph"])
+@pytest.mark.parametrize(
+    "writer", ["save_edge_list", "cli._write_graph", "save_edge_list json", "cli._write_graph json"]
+)
 def test_graph_csv_is_written_as_it_is_rendered(tmp_path, writer):
     from busfactor.reporting import RunManifest
 
+    writer, _, fmt = writer.partition(" ")
+    fmt = fmt or "csv"
     graph = generate_powerlaw(GeneratorConfig(n_people=3000, n_tasks=4000, seed=1))
     manifest = RunManifest("generate", {}, 1, None, "0")
-    path = tmp_path / "graph.csv"
+    path = tmp_path / f"graph.{fmt}"
 
     def render_and_write():
         if writer == "save_edge_list":

@@ -29,6 +29,7 @@ from conftest import (
     largest_task_component_size,
     random_bipartite,
     run_sweep_reference,
+    thawed,
 )
 
 
@@ -260,7 +261,9 @@ def test_disjoint_union(four_edge_graph, two_stars):
     assert merged.n_people == four_edge_graph.n_people + two_stars.n_people
     assert merged.n_tasks == four_edge_graph.n_tasks + two_stars.n_tasks
     assert merged.n_edges == four_edge_graph.n_edges + two_stars.n_edges
-    assert largest_task_component_size(merged) == 3  # blocks stay disjoint
+    assert largest_task_component_size(thawed(merged)) == 3  # blocks stay disjoint
+    # the concatenated view is already sorted: freezing its graph gives it back
+    assert merged == thawed(merged).freeze()
 
 
 def test_run_sweep_rows_and_reproducibility(four_edge_graph):

@@ -67,7 +67,7 @@ def test_parse_errors():
 
 def test_csv_round_trip(four_edge_graph):
     text = render_edge_list(four_edge_graph, "csv")
-    assert parse_edge_list(text, "csv") == four_edge_graph
+    assert parse_edge_list(text, "csv") == four_edge_graph.freeze()
     # canonical order makes reserialization byte-identical
     assert render_edge_list(parse_edge_list(text, "csv"), "csv") == text
 
@@ -76,7 +76,7 @@ def test_round_trip_preserves_isolated_nodes():
     g = ProjectGraph(people=[1, 5], tasks=[2, 7], edges=[(1, 2)])
     for fmt in ("csv", "json"):
         back = parse_edge_list(render_edge_list(g, fmt), fmt)
-        assert back == g
+        assert back == g.freeze()
 
 
 def test_csv_rows_sorted():
@@ -91,14 +91,14 @@ def test_round_trip_property(graph):
     for fmt in FORMATS:
         text = render_edge_list(graph, fmt)
         back = parse_edge_list(text, fmt)
-        assert back == graph
+        assert back == graph.freeze()
         assert render_edge_list(back, fmt) == text
         assert render_edge_list(declared_sorted, fmt) == text
 
 
 def test_json_round_trip(four_edge_graph):
     text = render_edge_list(four_edge_graph, "json")
-    assert parse_edge_list(text, "json") == four_edge_graph
+    assert parse_edge_list(text, "json") == four_edge_graph.freeze()
     assert render_edge_list(parse_edge_list(text, "json"), "json") == text
 
 
@@ -132,14 +132,14 @@ def test_json_errors():
 def test_json_ignores_extra_keys(four_edge_graph):
     text = render_edge_list(four_edge_graph, "json")
     spiked = text.replace('{\n', '{\n  "manifest": {"tool": "x"},\n', 1)
-    assert parse_edge_list(spiked, "json") == four_edge_graph
+    assert parse_edge_list(spiked, "json") == four_edge_graph.freeze()
 
 
 def test_file_round_trip(tmp_path, four_edge_graph):
     for name in ("g.csv", "g.json"):
         path = tmp_path / name
         save_edge_list(four_edge_graph, path)
-        assert load_edge_list(path) == four_edge_graph
+        assert load_edge_list(path) == four_edge_graph.freeze()
 
 
 def test_unknown_format(four_edge_graph):
@@ -248,21 +248,26 @@ def json_texts(draw) -> str:
 
 
 def _parsed(parse, text: str, fmt: str):
-    """The graph with its task map and edge count, or the error and line."""
+    """The frozen graph with its declared people and tasks (isolated ones
+    included) and its edge count, or the error and line."""
     try:
         graph = parse(text, fmt)
     except ParseError as exc:
         return str(exc), exc.line
-    return graph, graph._tasks, graph.n_edges
+    return graph, graph.people, graph.tasks, graph.n_edges
+
+
+def _reference(text: str, fmt: str):
+    return parse_edge_list_reference(text, fmt).freeze()
 
 
 @settings(max_examples=200, deadline=None)
 @given(csv_texts())
 def test_csv_parser_matches_the_row_by_row_reference(text):
-    assert _parsed(parse_edge_list, text, "csv") == _parsed(parse_edge_list_reference, text, "csv")
+    assert _parsed(parse_edge_list, text, "csv") == _parsed(_reference, text, "csv")
 
 
 @settings(max_examples=300, deadline=None)
 @given(json_texts())
 def test_json_parser_matches_the_row_by_row_reference(text):
-    assert _parsed(parse_edge_list, text, "json") == _parsed(parse_edge_list_reference, text, "json")
+    assert _parsed(parse_edge_list, text, "json") == _parsed(_reference, text, "json")
