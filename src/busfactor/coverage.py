@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -154,31 +154,30 @@ def mrs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
         raise InfeasibleError(
             f"coverage target {float(target):g} tasks unreachable"
         )
-    n = len(people)
-    for keep_size in range(n + 1):
-        best = min(
-            (
-                tuple(people[i] for i in range(n) if i not in keep)
-                for keep in itertools.combinations(range(n), keep_size)
-                if _union_mask(masks[i] for i in keep).bit_count() >= target
-            ),
-            default=None,
-        )
-        if best is not None:
-            return set(best)
-    raise AssertionError("unreachable: keeping everyone was checked feasible")
+    sizes = range(len(people), -1, -1)
+    return _first_removal(people, masks, sizes, lambda covered: covered >= target)
 
 
 def mcs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     """Exhaustive minimum critical set (smallest graphs only)."""
     people, masks, target = _exact_inputs(graph, delta)
+    sizes = range(len(people) + 1)
+    return _first_removal(people, masks, sizes, lambda covered: covered < target)
+
+
+def _first_removal(
+    people: Sequence[PersonId], masks: list[int], sizes: range, kept_ok: Callable[[int], bool]
+) -> set[PersonId]:
+    """The first removal, by size in ``sizes`` order, whose kept people cover
+    a task count that ``kept_ok`` accepts; within a size, the first in
+    ``combinations`` order, which is the lexicographically smallest."""
     n = len(people)
-    for size in range(n + 1):
+    for size in sizes:
         for removed in itertools.combinations(range(n), size):
             kept = (masks[i] for i in range(n) if i not in removed)
-            if _union_mask(kept).bit_count() < target:
+            if kept_ok(_union_mask(kept).bit_count()):
                 return {people[i] for i in removed}
-    raise AssertionError("unreachable: removing everyone drops coverage to 0")
+    raise AssertionError("unreachable: the last removal size always passes")
 
 
 def _union_mask(masks: Iterable[int]) -> int:

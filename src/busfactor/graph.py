@@ -48,13 +48,13 @@ class FrozenGraph(NamedTuple):
 
 
 class ProjectGraph:
-    """Simple bipartite graph between people and tasks.
-
-    Duplicate edges are rejected rather than collapsed, and isolated nodes
-    on either side are representable.
+    """Simple bipartite graph between people and tasks, for building one by
+    hand: duplicate edges are rejected rather than collapsed, isolated nodes
+    on either side are representable, and :meth:`freeze` gives the view
+    through which it is read.
     """
 
-    __slots__ = ("_people", "_tasks", "_n_edges")
+    __slots__ = ("_people", "_tasks")
 
     def __init__(
         self,
@@ -63,8 +63,7 @@ class ProjectGraph:
         edges: Iterable[tuple[PersonId, TaskId]] = (),
     ):
         self._people: dict[PersonId, set[TaskId]] = {}
-        self._tasks: dict[TaskId, set[PersonId]] = {}
-        self._n_edges = 0
+        self._tasks: dict[TaskId, None] = {}  # the task ids, in insertion order
         for p in people:
             self.add_person(p)
         for t in tasks:
@@ -98,23 +97,7 @@ class ProjectGraph:
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
-
-    def tasks_of(self, person: PersonId) -> frozenset[TaskId]:
-        self._require_person(person)
-        return frozenset(self._people[person])
-
-    def degree_of_person(self, person: PersonId) -> int:
-        self._require_person(person)
-        return len(self._people[person])
-
-    def degree_of_task(self, task: TaskId) -> int:
-        self._require_task(task)
-        return len(self._tasks[task])
-
-    def has_edge(self, person: PersonId, task: TaskId) -> bool:
-        adj = self._people.get(person)
-        return adj is not None and task in adj
+        return sum(map(len, self._people.values()))
 
     def edges(self) -> Iterator[tuple[PersonId, TaskId]]:
         """All edges sorted by (person, task); the canonical order."""
@@ -131,9 +114,6 @@ class ProjectGraph:
             and self._people == other._people
         )
 
-    def __hash__(self):  # graphs are mutable containers
-        raise TypeError("ProjectGraph is unhashable")
-
     def __repr__(self) -> str:
         return (
             f"ProjectGraph(|P|={self.n_people}, |T|={self.n_tasks}, "
@@ -143,8 +123,7 @@ class ProjectGraph:
     def copy(self) -> ProjectGraph:
         graph = ProjectGraph.__new__(ProjectGraph)
         graph._people = {p: set(adj) for p, adj in self._people.items()}
-        graph._tasks = {t: set(adj) for t, adj in self._tasks.items()}
-        graph._n_edges = self._n_edges
+        graph._tasks = dict(self._tasks)
         return graph
 
     def freeze(self) -> FrozenGraph:
@@ -166,41 +145,17 @@ class ProjectGraph:
             raise ValueError(f"task id must be non-negative, got {task}")
         if task in self._tasks:
             raise ValueError(f"task {task} already exists")
-        self._tasks[task] = set()
+        self._tasks[task] = None
 
     def add_edge(self, person: PersonId, task: TaskId) -> None:
-        self._require_person(person)
-        self._require_task(task)
-        if task in self._people[person]:
-            raise ValueError(f"duplicate edge ({person}, {task})")
-        self._people[person].add(task)
-        self._tasks[task].add(person)
-        self._n_edges += 1
-
-    def remove_edge(self, person: PersonId, task: TaskId) -> None:
-        self._require_person(person)
-        self._require_task(task)
-        if task not in self._people[person]:
-            raise ValueError(f"no edge ({person}, {task}) to remove")
-        self._people[person].remove(task)
-        self._tasks[task].remove(person)
-        self._n_edges -= 1
-
-    def fresh_person_id(self) -> PersonId:
-        return max(self._people, default=-1) + 1
-
-    def fresh_task_id(self) -> TaskId:
-        return max(self._tasks, default=-1) + 1
-
-    # -- internal ------------------------------------------------------------
-
-    def _require_person(self, person: PersonId) -> None:
-        if person not in self._people:
+        own = self._people.get(person)
+        if own is None:
             raise ValueError(f"unknown person {person}")
-
-    def _require_task(self, task: TaskId) -> None:
         if task not in self._tasks:
             raise ValueError(f"unknown task {task}")
+        if task in own:
+            raise ValueError(f"duplicate edge ({person}, {task})")
+        own.add(task)
 
 
 def degree_slots(held: Sequence[Sized]) -> list[int]:

@@ -105,7 +105,7 @@ def null_sample(
     swaps = 0
     for start in range(0, attempts, _DRAW_PAIRS):
         pairs = min(_DRAW_PAIRS, attempts - start)
-        draws = iter(rng.integers(0, m, size=2 * pairs).tolist())
+        draws = iter(rng.integers(0, m, size=2 * pairs).data)
         for i, j in zip(draws, draws):
             t1, t2 = task[i], task[j]
             own1, own2 = owned[i], owned[j]

@@ -23,7 +23,7 @@ from busfactor.generators import (
     _sample_powerlaw_degrees,
     make_rng,
 )
-from busfactor.graph import FrozenGraph, GraphLike, ProjectGraph, thaw
+from busfactor.graph import GraphLike, ProjectGraph, as_frozen, freeze_maps
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -74,49 +74,149 @@ def random_bipartite(
     n_t = int(rng.integers(1, max_tasks + 1))
     if edge_prob is None:
         edge_prob = float(rng.uniform(0.05, 0.6))
-    graph = ProjectGraph(people=range(n_p), tasks=range(n_t))
-    for p in range(n_p):
-        for t in range(n_t):
-            if rng.random() < edge_prob:
-                graph.add_edge(p, t)
+    edges = [(p, t) for p in range(n_p) for t in range(n_t) if rng.random() < edge_prob]
     if not allow_isolated:
-        for p in range(n_p):
-            if graph.degree_of_person(p) == 0:
-                graph.add_edge(p, int(rng.integers(n_t)))
-        for t in range(n_t):
-            if graph.degree_of_task(t) == 0:
-                graph.add_edge(int(rng.integers(n_p)), t)
-    return graph
+        linked = {p for p, _ in edges}
+        edges += [(p, int(rng.integers(n_t))) for p in range(n_p) if p not in linked]
+        linked = {t for _, t in edges}
+        edges += [(int(rng.integers(n_p)), t) for t in range(n_t) if t not in linked]
+    return ProjectGraph(people=range(n_p), tasks=range(n_t), edges=edges)
 
 
-def thawed(graph: GraphLike) -> ProjectGraph:
-    """``graph``, thawed if it is a dense view, for helpers that read the
-    ``ProjectGraph`` methods."""
-    return thaw(*graph) if isinstance(graph, FrozenGraph) else graph
+class SetGraph:
+    """The oracles' own editable graph, kept apart from the library's:
+    ``by_person`` maps each person to their task set and ``by_task`` each
+    task to its person set, and the edit methods keep the two in step.
+    It equals a ``SetGraph`` or a ``ProjectGraph`` with the same people,
+    tasks and edges; hand it to the library through :meth:`freeze`."""
+
+    def __init__(self, people=(), tasks=(), edges=()):
+        self.by_person: dict[int, set[int]] = {p: set() for p in people}
+        self.by_task: dict[int, set[int]] = {t: set() for t in tasks}
+        for p, t in edges:
+            self.add_edge(p, t)
+
+    @property
+    def people(self):
+        return self.by_person.keys()
+
+    @property
+    def tasks(self):
+        return self.by_task.keys()
+
+    @property
+    def n_people(self) -> int:
+        return len(self.by_person)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.by_task)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(map(len, self.by_person.values()))
+
+    def tasks_of(self, person: int) -> frozenset[int]:
+        self._require_person(person)
+        return frozenset(self.by_person[person])
+
+    def degree_of_person(self, person: int) -> int:
+        self._require_person(person)
+        return len(self.by_person[person])
+
+    def degree_of_task(self, task: int) -> int:
+        self._require_task(task)
+        return len(self.by_task[task])
+
+    def has_edge(self, person: int, task: int) -> bool:
+        return task in self.by_person.get(person, ())
+
+    def edges(self):
+        """All edges sorted by (person, task)."""
+        for p in sorted(self.by_person):
+            for t in sorted(self.by_person[p]):
+                yield p, t
+
+    def fresh_person_id(self) -> int:
+        return max(self.by_person, default=-1) + 1
+
+    def copy(self) -> "SetGraph":
+        graph = SetGraph()
+        graph.by_person = {p: set(own) for p, own in self.by_person.items()}
+        graph.by_task = {t: set(own) for t, own in self.by_task.items()}
+        return graph
+
+    def freeze(self):
+        return freeze_maps(self.by_person, self.by_task)
+
+    def add_person(self, person: int) -> None:
+        if person in self.by_person:
+            raise ValueError(f"person {person} already exists")
+        self.by_person[person] = set()
+
+    def add_task(self, task: int) -> None:
+        if task in self.by_task:
+            raise ValueError(f"task {task} already exists")
+        self.by_task[task] = set()
+
+    def add_edge(self, person: int, task: int) -> None:
+        self._require_person(person)
+        self._require_task(task)
+        if task in self.by_person[person]:
+            raise ValueError(f"duplicate edge ({person}, {task})")
+        self.by_person[person].add(task)
+        self.by_task[task].add(person)
+
+    def remove_edge(self, person: int, task: int) -> None:
+        if not self.has_edge(person, task):
+            raise ValueError(f"no edge ({person}, {task}) to remove")
+        self.by_person[person].remove(task)
+        self.by_task[task].remove(person)
+
+    def _require_person(self, person: int) -> None:
+        if person not in self.by_person:
+            raise ValueError(f"unknown person {person}")
+
+    def _require_task(self, task: int) -> None:
+        if task not in self.by_task:
+            raise ValueError(f"unknown task {task}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SetGraph, ProjectGraph)):
+            return NotImplemented
+        return self.freeze() == other.freeze()
+
+    def __repr__(self) -> str:
+        return f"SetGraph({sorted(self.people)}, {sorted(self.tasks)}, {list(self.edges())})"
 
 
-def swapped(result) -> ProjectGraph:
+def thawed(graph) -> SetGraph:
+    """``graph`` as a :class:`SetGraph`; one already is returned as it is.
+    Every oracle thaws its input on entry."""
+    if isinstance(graph, SetGraph):
+        return graph
+    return held_graph(*as_frozen(graph))
+
+
+def held_graph(people, tasks, held) -> SetGraph:
+    """The graph in which ``people[k]`` does ``tasks[t]`` for each ``t`` in
+    ``held[k]``."""
+    edges = ((people[k], tasks[t]) for k, own in enumerate(held) for t in own)
+    return SetGraph(people, tasks, edges)
+
+
+def swapped(result) -> SetGraph:
     """The graph of a ``null_sample`` result, thawed from its ``held`` sets."""
-    return thaw(result.people, result.tasks, result.held)
+    return held_graph(result.people, result.tasks, result.held)
 
 
-def from_maps(
-    people: dict[int, set[int]], tasks: dict[int, set[int]]
-) -> ProjectGraph:
-    """The graph that owns ``people`` (each person's task set) and ``tasks``
-    (each task's person set), for callers that check each edge themselves."""
-    graph = ProjectGraph.__new__(ProjectGraph)
-    graph._people, graph._tasks = people, tasks
-    graph._n_edges = sum(map(len, people.values()))
-    return graph
-
-
-def covered_task_count(graph: ProjectGraph) -> int:
+def covered_task_count(graph) -> int:
     """Number of tasks with at least one contributor."""
+    graph = thawed(graph)
     return sum(1 for t in graph.tasks if graph.degree_of_task(t))
 
 
-def degree_maps(graph: GraphLike) -> tuple[dict[int, int], dict[int, int]]:
+def degree_maps(graph) -> tuple[dict[int, int], dict[int, int]]:
     """Each person's degree and each task's degree."""
     graph = thawed(graph)
     return (
@@ -149,15 +249,17 @@ def traced_peak(fn, *args) -> int:
 # -- brute-force oracles, kept independent of the library's algorithms --------
 
 
-def coverage_bruteforce(graph: ProjectGraph, team) -> set[int]:
+def coverage_bruteforce(graph, team) -> set[int]:
+    graph = thawed(graph)
     covered = set()
     for p in team:
         covered |= set(graph.tasks_of(p))
     return covered
 
 
-def mrs_bruteforce(graph: ProjectGraph, target) -> set[int] | None:
+def mrs_bruteforce(graph, target) -> set[int] | None:
     """Largest removable set keeping coverage >= target, else None."""
+    graph = thawed(graph)
     people = sorted(graph.people)
     for size in range(len(people), -1, -1):
         candidates = []
@@ -170,8 +272,9 @@ def mrs_bruteforce(graph: ProjectGraph, target) -> set[int] | None:
     return None
 
 
-def mcs_bruteforce(graph: ProjectGraph, target) -> set[int]:
+def mcs_bruteforce(graph, target) -> set[int]:
     """Smallest set whose removal drops coverage below target."""
+    graph = thawed(graph)
     people = sorted(graph.people)
     for size in range(len(people) + 1):
         for removed in itertools.combinations(people, size):
@@ -181,8 +284,9 @@ def mcs_bruteforce(graph: ProjectGraph, target) -> set[int]:
     raise AssertionError("removing everyone always drops coverage")
 
 
-def z_worst_bruteforce(graph: ProjectGraph, target) -> int:
+def z_worst_bruteforce(graph, target) -> int:
     """Largest k such that every size-k removal keeps coverage >= target."""
+    graph = thawed(graph)
     people = sorted(graph.people)
     z = -1
     for k in range(len(people) + 1):
@@ -197,29 +301,30 @@ def z_worst_bruteforce(graph: ProjectGraph, target) -> int:
     return z
 
 
-def remove_people(graph: ProjectGraph, people) -> ProjectGraph:
+def remove_people(graph, people) -> SetGraph:
     """New graph without ``people``; tasks stay as (possibly isolated) nodes."""
+    graph = thawed(graph)
     gone = set(people)
     for p in gone:
         graph._require_person(p)
-    new = ProjectGraph.__new__(ProjectGraph)
-    new._people = {
-        p: set(adj) for p, adj in graph._people.items() if p not in gone
+    new = SetGraph()
+    new.by_person = {
+        p: set(adj) for p, adj in graph.by_person.items() if p not in gone
     }
-    new._tasks = {t: adj - gone for t, adj in graph._tasks.items()}
-    new._n_edges = sum(len(adj) for adj in new._people.values())
+    new.by_task = {t: adj - gone for t, adj in graph.by_task.items()}
     return new
 
 
-def largest_task_component_size(graph: ProjectGraph) -> int:
+def largest_task_component_size(graph) -> int:
     """Tasks in the largest connected component that contains a person.
 
     Degree-0 tasks sit in person-free components and never contribute;
     a graph whose components all lack either a person or a task scores 0.
     """
+    graph = thawed(graph)
     visited_p: set[int] = set()
     best = 0
-    for start in graph._people:
+    for start in graph.by_person:
         if start in visited_p:
             continue
         stack = [start]
@@ -227,10 +332,10 @@ def largest_task_component_size(graph: ProjectGraph) -> int:
         comp_tasks: set[int] = set()
         while stack:
             p = stack.pop()
-            for t in graph._people[p]:
+            for t in graph.by_person[p]:
                 if t not in comp_tasks:
                     comp_tasks.add(t)
-                    for q in graph._tasks[t]:
+                    for q in graph.by_task[t]:
                         if q not in visited_p:
                             visited_p.add(q)
                             stack.append(q)
@@ -239,8 +344,9 @@ def largest_task_component_size(graph: ProjectGraph) -> int:
     return best
 
 
-def decay_curve_naive(graph: ProjectGraph, order) -> DecayCurve:
+def decay_curve_naive(graph, order) -> DecayCurve:
     """Reference decay curve by full recomputation after each removal."""
+    graph = thawed(graph)
     order = list(order)
     if len(order) != graph.n_people or set(order) != set(graph.people):
         raise ValueError("removal sequence must be a permutation of all people")
@@ -252,10 +358,10 @@ def decay_curve_naive(graph: ProjectGraph, order) -> DecayCurve:
     return DecayCurve(tuple(values))
 
 
-def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
+def greedy_order_adaptive_reference(graph) -> list[int]:
     """Greedy order re-ranked after every removal: decreasing degree in the
     remaining graph, ties to the smallest id. O(P^2) graph copies."""
-    remaining = graph.copy()
+    remaining = thawed(graph).copy()
     order: list[int] = []
     while remaining.n_people:
         nxt = min(
@@ -270,8 +376,8 @@ def greedy_order_adaptive_reference(graph: ProjectGraph) -> list[int]:
 # -- reference generator: set maps on both sides, repaired from the absent ids ----
 
 
-def generate_powerlaw_reference(config: GeneratorConfig) -> ProjectGraph:
-    """What ``generate_powerlaw`` gives, built as a ``ProjectGraph`` from
+def generate_powerlaw_reference(config: GeneratorConfig) -> SetGraph:
+    """What ``generate_powerlaw`` gives, built as a ``SetGraph`` from
     person-to-tasks and task-to-people set maps. Each repair draws by
     ``rng.choice`` from the array of absent ids itself, where the library
     draws ranks into it."""
@@ -291,8 +397,8 @@ def generate_powerlaw_reference(config: GeneratorConfig) -> ProjectGraph:
         deg_t *= sum_p / sum_t
     total = deg_p.sum()
 
-    people = {p: set() for p in range(n_p)}
-    tasks = {t: set() for t in range(n_t)}
+    graph = SetGraph(range(n_p), range(n_t))
+    people, tasks = graph.by_person, graph.by_task
     for p, own in people.items():
         probs = deg_p[p] * deg_t / total
         own.update(np.nonzero(rng.random(n_t) < probs)[0].tolist())
@@ -300,7 +406,7 @@ def generate_powerlaw_reference(config: GeneratorConfig) -> ProjectGraph:
             tasks[t].add(p)
     _repair_min_degree_reference(people, tasks, config.min_degree, rng)
     _repair_min_degree_reference(tasks, people, config.min_degree, rng)
-    return from_maps(people, tasks)
+    return graph
 
 
 def _repair_min_degree_reference(
@@ -321,10 +427,10 @@ def _repair_min_degree_reference(
                 others[m].add(n)
 
 
-# -- reference parsers: row by row, through the checked ProjectGraph methods ------
+# -- reference parsers: row by row, through the checked SetGraph methods ---------
 
 
-def parse_edge_list_reference(data: str, fmt: str) -> ProjectGraph:
+def parse_edge_list_reference(data: str, fmt: str) -> SetGraph:
     """What ``parse_edge_list`` gives, or the ``ParseError`` it raises, with
     every row going through ``add_person``, ``add_task``, ``has_edge`` and
     ``add_edge``."""
@@ -360,8 +466,8 @@ def _parse_task(field: str, line: int | None = None) -> int:
     return _id_number(m.group(1), line)
 
 
-def _parse_csv_reference(data: str) -> ProjectGraph:
-    graph = ProjectGraph()
+def _parse_csv_reference(data: str) -> SetGraph:
+    graph = SetGraph()
     header_seen = False
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -405,7 +511,7 @@ def _parse_csv_reference(data: str) -> ProjectGraph:
     return graph
 
 
-def _parse_json_reference(data: str) -> ProjectGraph:
+def _parse_json_reference(data: str) -> SetGraph:
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -418,7 +524,7 @@ def _parse_json_reference(data: str) -> ProjectGraph:
         if not isinstance(obj.get(key), list):
             raise ParseError(f"missing or non-array {key!r} field")
 
-    graph = ProjectGraph()
+    graph = SetGraph()
     for label in obj["people"]:
         p = _parse_person(str(label))
         if p in graph.people:
@@ -442,10 +548,10 @@ def _parse_json_reference(data: str) -> ProjectGraph:
     return graph
 
 
-# -- reference annealer: mutates a ProjectGraph, rescores it with decay_curve ----
+# -- reference annealer: mutates a SetGraph, rescores it with decay_curve -------
 
 
-def _has_feasible_move(graph: ProjectGraph) -> bool:
+def _has_feasible_move(graph: SetGraph) -> bool:
     n_tasks = graph.n_tasks
     for p in graph.people:
         if graph.degree_of_person(p) >= n_tasks:
@@ -457,7 +563,7 @@ def _has_feasible_move(graph: ProjectGraph) -> bool:
 
 def anneal_reference(
     graph: GraphLike, config: AnnealingConfig
-) -> tuple[ProjectGraph, AnnealingTrace]:
+) -> tuple[SetGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
     Proposal: take a random edge (p, t) and a random task the person does
@@ -477,11 +583,11 @@ def anneal_reference(
 
     rng = make_rng(config.seed)
     working = graph.copy()
-    order = greedy_order(working)  # person degrees never change below
+    order = greedy_order(working.freeze())  # person degrees never change below
     denom = _normalization(working.n_people, working.n_tasks)
 
-    def objective_area(g: ProjectGraph) -> int:
-        return trapezoid_area(decay_curve(g, order))
+    def objective_area(g: SetGraph) -> int:
+        return trapezoid_area(decay_curve(g.freeze(), order))
 
     edges = list(working.edges())
     tasks = sorted(working.tasks)
@@ -532,7 +638,7 @@ def trapezoid_area(curve: DecayCurve) -> int:
     return sum(values[i - 1] + values[i] for i in range(1, len(values)))
 
 
-def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
+def _draw_new_task(rng, graph: SetGraph, person: int, tasks: list[int]):
     """Uniform task outside the person's neighborhood, or None if covered."""
     degree = graph.degree_of_person(person)
     if degree >= len(tasks):
@@ -549,13 +655,13 @@ def _draw_new_task(rng, graph: ProjectGraph, person: int, tasks: list[int]):
 class SwapResult(NamedTuple):
     """The reference's result: the rewired graph itself."""
 
-    graph: ProjectGraph
+    graph: SetGraph
     attempts: int
     swaps: int
 
 
 def null_sample_reference(
-    graph: ProjectGraph, config: NullModelConfig, sample_index: int = 0
+    graph: GraphLike, config: NullModelConfig, sample_index: int = 0
 ) -> SwapResult:
     """Degree-preserving random rewiring, deterministic per (seed, index).
 
@@ -592,18 +698,19 @@ def null_sample_reference(
         edges[i] = new_a
         edges[j] = new_b
         swaps += 1
-    sampled = ProjectGraph(
+    sampled = SetGraph(
         people=graph.people, tasks=graph.tasks, edges=edges
     )
     return SwapResult(graph=sampled, attempts=attempts, swaps=swaps)
 
 
-# -- reference greedies: set-based, over ProjectGraph accessors -----------------
+# -- reference greedies: set-based, over SetGraph accessors --------------------
 
 
-def mrs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
+def mrs_greedy_reference(graph, delta) -> set[int]:
     """Lazy greedy keep-set grown against the rational target; everyone
     else is redundant."""
+    graph = thawed(graph)
     target = _coverage_target(graph, delta)
     if covered_task_count(graph) < target:
         raise InfeasibleError(
@@ -625,9 +732,10 @@ def mrs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
     return set(graph.people) - keep
 
 
-def mcs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
+def mcs_greedy_reference(graph, delta) -> set[int]:
     """People removed in decreasing degree order, ties to the smallest id,
     until coverage drops below the rational target."""
+    graph = thawed(graph)
     target = _coverage_target(graph, delta)
     degrees, live = degree_maps(graph)
     order = sorted(degrees, key=lambda p: (-degrees[p], p))
@@ -650,7 +758,7 @@ def mcs_greedy_reference(graph: ProjectGraph, delta) -> set[int]:
 class _EdgeAdder:
     """Streams uniformly random absent person-task pairs into a graph."""
 
-    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
+    def __init__(self, graph: SetGraph, rng: np.random.Generator):
         self.graph = graph
         self.rng = rng
         self.people = sorted(graph.people)
@@ -683,7 +791,7 @@ class _EdgeAdder:
 class _EdgeRemover:
     """Removes uniformly random existing edges from a graph."""
 
-    def __init__(self, graph: ProjectGraph, rng: np.random.Generator):
+    def __init__(self, graph: SetGraph, rng: np.random.Generator):
         self.graph = graph
         self.rng = rng
         self.edges = list(graph.edges())
@@ -699,23 +807,23 @@ class _EdgeRemover:
         return True
 
 
-def _measure(graph: ProjectGraph, delta: Fraction) -> tuple[int, int, float] | None:
+def _measure(graph: SetGraph, delta: Fraction) -> tuple[int, int, float] | None:
     try:
         mrs = len(mrs_greedy_reference(graph, delta))
     except InfeasibleError:
         return None
     mcs = len(mcs_greedy_reference(graph, delta))
-    value = bus_factor_greedy(graph).value
+    value = bus_factor_greedy(graph.freeze()).value
     return mrs, mcs, value
 
 
 def checkpoint_graphs_reference(
-    graph: ProjectGraph, kind: str, total_steps: int, stride: int, seed: int
-) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
+    graph: GraphLike, kind: str, total_steps: int, stride: int, seed: int
+) -> tuple[list[tuple[int, SetGraph]], bool, list[str]]:
     """Materialize (modification count, snapshot) pairs, baseline included."""
     graph = thawed(graph)
     notes: list[str] = []
-    snapshots: list[tuple[int, ProjectGraph]] = [(0, graph.copy())]
+    snapshots: list[tuple[int, SetGraph]] = [(0, graph.copy())]
     truncated = False
 
     if kind in ("densify", "sparsify"):
@@ -752,7 +860,7 @@ def checkpoint_graphs_reference(
             if i % stride == 0 or i == total_steps:
                 snapshots.append((i, working.copy()))
     elif kind == "duplicates":
-        order = greedy_order(graph)
+        order = greedy_order(graph.freeze())
         if total_steps > len(order):
             notes.append(
                 f"cloning {total_steps} people wraps around the {len(order)} available"
@@ -780,21 +888,21 @@ def checkpoint_graphs_reference(
 
 
 def engine_snapshots(
-    graph: ProjectGraph, kind: str, steps: int, stride: int, seed: int = 0
-) -> tuple[list[tuple[int, ProjectGraph]], bool, list[str]]:
+    graph: GraphLike, kind: str, steps: int, stride: int, seed: int = 0
+) -> tuple[list[tuple[int, SetGraph]], bool, list[str]]:
     """What :func:`checkpoint_graphs_reference` gives, from the sweep's own
     engine: the state at each checkpoint thawed into a graph, whether the
     material ran out, and the engine's notes."""
     state, modifications, available, notes = _perturbation(graph, kind, steps, seed)
     snapshots = [
-        (done, thaw(state.people, state.tasks, state.held))
+        (done, held_graph(state.people, state.tasks, state.held))
         for done in _checkpoints(modifications, available, stride)
     ]
     return snapshots, available < steps, notes
 
 
 def run_sweep_reference(
-    graph: ProjectGraph,
+    graph: GraphLike,
     kind: str,
     total_steps: int,
     stride: int = 100,

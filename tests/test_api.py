@@ -123,6 +123,25 @@ def test_public_names_are_pinned():
     ]
 
 
+def test_project_graph_surface_is_pinned():
+    # ProjectGraph builds a graph and is read through its freeze() view; a
+    # change to what it offers must be an explicit edit here
+    assert [name for name in dir(ProjectGraph) if not name.startswith("_")] == [
+        "add_edge",
+        "add_person",
+        "add_task",
+        "copy",
+        "edges",
+        "freeze",
+        "n_edges",
+        "n_people",
+        "n_tasks",
+        "people",
+        "tasks",
+    ]
+    assert ProjectGraph.__hash__ is None  # it defines __eq__ and is mutable
+
+
 def test_readme_library_example_prints_what_it_says():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("## Library"):]
@@ -238,3 +257,16 @@ def test_only_the_graph_module_names_project_graph():
             if "ProjectGraph" in names:
                 naming.append(path.name)
     assert naming == []
+
+
+def test_no_test_reads_project_graph_fields():
+    # the test oracles keep their own set-map graph (conftest.SetGraph), so
+    # the library may change how ProjectGraph stores a graph
+    private = {"_people", "_tasks", "_n_edges"}
+    reads = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert reads == []

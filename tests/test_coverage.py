@@ -98,7 +98,7 @@ def test_threshold_arithmetic_is_exact():
     assert len(mrs_exact(g, "0.55")) == 1
     reduced = remove_people(g, [2])
     assert len(coverage_bruteforce(reduced, reduced.people)) == 11
-    assert mrs_greedy(reduced, "0.55") == set()  # keep p1, remove nobody
+    assert mrs_greedy(reduced.freeze(), "0.55") == set()  # keep p1, remove nobody
 
 
 def test_report_examples(four_edge_graph, k22, star_graph):
