@@ -74,7 +74,6 @@ DEFAULTS = {
 _NON_REPRODUCIBLE = {
     "workers",
     "config",
-    "command",
     "input",
     "output",
     "output_prefix",
@@ -241,7 +240,6 @@ def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
             elif not any(norm in flags for flags in actions.values()):
                 raise ParseError(f"unknown --config key {key!r}")
     params.update(given)
-    params.pop("config", None)
     return params
 
 
@@ -279,7 +277,6 @@ def _cmd_analyze(params: dict) -> int:
     _require(params, "output")
     delta = normalize_delta(params["delta"])
     decay_path = params["decay_output"] or f"{params['output']}.decay.csv"
-    params = {**params, "decay_output": str(decay_path)}
     manifest = _manifest("analyze", params, digest)
 
     report = coverage_report(graph, delta)

@@ -291,28 +291,23 @@ def disjoint_union(first: GraphLike, second: GraphLike) -> FrozenGraph:
 
 class _Perturbation:
     """A graph in dense form, modified in place: people at slots in id
-    order, ``held[k]`` the task indices of slot ``k``, the task degrees and
-    the covered-task count. A new person takes the fresh id ``max + 1`` and
-    the next slot, which keeps the slots in id order."""
+    order, ``held[k]`` the task indices of slot ``k``, and the task
+    degrees. A new person takes the fresh id ``max + 1`` and the next
+    slot, which keeps the slots in id order."""
 
     def __init__(self, graph: GraphLike):
         people, self.tasks, adjacency = frozen = as_frozen(graph)
         self.people = list(people)
         self.held = [set(own) for own in adjacency]
         self.task_degree = frozen.task_degrees()
-        self.covered = len(self.tasks) - self.task_degree.count(0)
 
     def add_edge(self, k: int, t: int) -> None:
         self.held[k].add(t)
-        if self.task_degree[t] == 0:
-            self.covered += 1
         self.task_degree[t] += 1
 
     def remove_edge(self, k: int, t: int) -> None:
         self.held[k].remove(t)
         self.task_degree[t] -= 1
-        if self.task_degree[t] == 0:
-            self.covered -= 1
 
     def add_person(self, tasks: Iterable[int]) -> None:
         self.people.append(self.people[-1] + 1)
@@ -452,7 +447,7 @@ def run_sweep(
     held, n_tasks = state.held, len(state.tasks)
     need = math.ceil(d * n_tasks)
     for mods in _checkpoints(modifications, steps, stride):
-        if state.covered < need:
+        if n_tasks - state.task_degree.count(0) < need:
             table.truncated = True
             table.notes.append(
                 f"coverage target unreachable from {mods} modifications on"

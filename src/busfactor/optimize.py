@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, islice
 from typing import NamedTuple
@@ -191,50 +191,29 @@ def _map_jobs(fn, jobs: Iterable[tuple], workers: int) -> Iterator:
             yield fn(*job)
 
 
-def null_objectives(
-    graph: GraphLike, config: NullModelConfig, indices: range, workers: int = 1
-) -> list[float]:
-    """Greedy robustness of null samples at the given indices, in order.
-
-    Worker payloads are chunked so the base graph's view crosses process
-    boundaries once per chunk; results do not depend on the worker count.
-    """
-    graph = as_frozen(graph)
-    chunk = max(1, math.ceil(len(indices) / (workers * 8)))
-    jobs = [
-        (graph, config, s, min(s + chunk, indices.stop))
-        for s in range(indices.start, indices.stop, chunk)
-    ]
-    return [v for part in _map_jobs(_null_objectives, jobs, workers) for v in part]
+def _p_value(observed: float, nulls: Sequence[float]) -> float:
+    """Lower-tail p = (1 + #{null <= observed}) / (len(nulls) + 1); the add-one
+    keeps p in (0, 1] and counts the observed value as its own null draw."""
+    return (1 + sum(1 for v in nulls if v <= observed)) / (len(nulls) + 1)
 
 
 def permutation_test(
     graph: GraphLike, config: NullModelConfig, workers: int = 1
 ) -> PermutationTestResult:
-    """Lower-tail permutation test of the observed greedy robustness.
+    """Lower-tail permutation test of the observed greedy robustness against
+    null samples ``0 .. n_samples - 1``, p from :func:`_p_value`.
 
-    p = (1 + #{null <= observed}) / (n_samples + 1); the add-one keeps p in
-    (0, 1] and counts the observed value as its own null draw.
+    Worker payloads are chunked so the base graph's view crosses process
+    boundaries once per chunk; results do not depend on the worker count.
     """
     config.validate()
     graph = as_frozen(graph)
     observed = bus_factor_greedy(graph).value
-    null_values = null_objectives(graph, config, range(config.n_samples), workers)
-    below = sum(1 for v in null_values if v <= observed)
-    p_value = (1 + below) / (config.n_samples + 1)
-    return PermutationTestResult(
-        observed=observed, null_values=tuple(null_values), p_value=p_value
-    )
-
-
-def _calibration_trial(
-    graph: GraphLike, config: NullModelConfig, trial: int
-) -> float:
     n = config.n_samples
-    base = trial * (n + 1)
-    observed, *nulls = _null_objectives(graph, config, base, base + n + 1)
-    below = sum(1 for v in nulls if v <= observed)
-    return (1 + below) / (n + 1)
+    chunk = max(1, math.ceil(n / (workers * 8)))
+    jobs = ((graph, config, s, min(s + chunk, n)) for s in range(0, n, chunk))
+    null_values = tuple(v for part in _map_jobs(_null_objectives, jobs, workers) for v in part)
+    return PermutationTestResult(observed, null_values, _p_value(observed, null_values))
 
 
 def calibrate_pvalues(
@@ -243,15 +222,18 @@ def calibrate_pvalues(
     """p-values with the observed value itself drawn from the null.
 
     Under this self-calibration the p-values are uniform on the grid
-    {1/(n+1), ..., 1}; each trial consumes its own block of sample indices
-    so trials are independent.
+    {1/(n+1), ..., 1}. Trial ``j`` takes its own block of sample indices,
+    ``j(n+1) .. (j+1)(n+1) - 1``, so trials are independent; the block's
+    first sample is the observation and the other ``n`` its nulls.
     """
     config.validate()
     if trials < 1:
         raise ValueError("trials must be at least 1")
     graph = as_frozen(graph)
-    jobs = ((graph, config, j) for j in range(trials))
-    return list(_map_jobs(_calibration_trial, jobs, workers))
+    block = config.n_samples + 1
+    jobs = ((graph, config, j * block, (j + 1) * block) for j in range(trials))
+    blocks = _map_jobs(_null_objectives, jobs, workers)
+    return [_p_value(observed, nulls) for observed, *nulls in blocks]
 
 
 # -- simulated annealing ---------------------------------------------------------

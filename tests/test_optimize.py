@@ -26,7 +26,6 @@ from busfactor.optimize import (
     anneal_restarts,
     calibrate_pvalues,
     compare_decay,
-    null_objectives,
     null_sample,
     permutation_test,
 )
@@ -235,15 +234,39 @@ def test_null_objectives_hold_one_sample_at_a_time():
     assert peak(3) - peak(1) < 64 << 10
 
 
+def reference_scores(graph, config, n):
+    """Greedy robustness of the reference null samples ``0 .. n - 1``."""
+    return [
+        bus_factor_greedy(null_sample_reference(graph, config, i).graph.freeze()).value
+        for i in range(n)
+    ]
+
+
 def test_null_objectives_match_reference():
     g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=12))
     cfg = NullModelConfig(n_samples=1, seed=4)
-    want = [
-        bus_factor_greedy(null_sample_reference(g, cfg, i).graph.freeze()).value
-        for i in range(3, 20)
-    ]
-    assert null_objectives(g, cfg, range(3, 20), workers=1) == want
-    assert null_objectives(g, cfg, range(3, 20), workers=2) == want
+    want = reference_scores(g, cfg, 20)
+    # a sample depends on the seed and its index, not on n_samples
+    assert optimize._null_objectives(g, cfg, 3, 20) == want[3:]
+    cfg = NullModelConfig(n_samples=17, seed=4)
+    for workers in (1, 2):
+        assert permutation_test(g, cfg, workers).null_values == tuple(want[:17])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibration_blocks_match_reference(workers):
+    g = generate_powerlaw(GeneratorConfig(n_people=20, n_tasks=25, seed=31))
+    cfg = NullModelConfig(n_samples=4, seed=6)
+    n, trials = cfg.n_samples, 6
+    scores = reference_scores(g, cfg, trials * (n + 1))
+    want = []
+    for j in range(trials):
+        # trial j observes sample j(n+1) and scores it against the next n
+        observed = scores[j * (n + 1)]
+        nulls = scores[j * (n + 1) + 1:(j + 1) * (n + 1)]
+        want.append((1 + sum(1 for v in nulls if v <= observed)) / (n + 1))
+    assert len(set(want)) > 2  # the blocks' p-values are not all alike
+    assert calibrate_pvalues(g, cfg, trials, workers) == want
 
 
 def test_calibration_rejects_degenerate_graph():
