@@ -21,7 +21,7 @@ from . import __version__
 from .coverage import coverage_report, normalize_delta
 from .errors import DegenerateError, InfeasibleError, ParseError
 from .generators import GeneratorConfig, generate_powerlaw, run_sweep, SWEEP_KINDS
-from .graph import FrozenGraph, GraphLike
+from .graph import FrozenGraph
 from .io import (
     csv_pieces,
     file_format,
@@ -311,7 +311,7 @@ def _cmd_generate(params: dict) -> int:
 
 
 def _write_graph(
-    graph: GraphLike, path: str, fmt: str | None, manifest: RunManifest
+    graph: FrozenGraph, path: str, fmt: str | None, manifest: RunManifest
 ) -> None:
     if file_format(path, fmt) == "csv":
         pieces = itertools.chain([manifest.comment_line() + "\n"], csv_pieces(graph))

@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DegenerateError, InfeasibleError
-from .graph import GraphLike, PersonId, as_frozen, degree_slots, require_nondegenerate
+from .graph import FrozenGraph, PersonId, degree_slots, require_nondegenerate
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets
 
@@ -53,7 +53,7 @@ def normalize_delta(delta: DeltaLike) -> Fraction:
     return value
 
 
-def _coverage_target(graph: GraphLike, delta: DeltaLike) -> Fraction:
+def _coverage_target(graph: FrozenGraph, delta: DeltaLike) -> Fraction:
     require_nondegenerate(graph)
     return normalize_delta(delta) * graph.n_tasks
 
@@ -98,15 +98,15 @@ def greedy_critical(
     return len(order)
 
 
-def mrs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
+def mrs_greedy(graph: FrozenGraph, delta: DeltaLike) -> set[PersonId]:
     """Approximate maximum redundant set.
 
     Greedily grows a keep-set, always adding the person who covers the most
     still-uncovered tasks (ties to the smallest id), until the keep-set
     covers the target; everyone else is redundant.
     """
-    people, tasks, adjacency = frozen = as_frozen(graph)
-    target = _coverage_target(frozen, delta)
+    people, tasks, adjacency = graph
+    target = _coverage_target(graph, delta)
     covered = len(set().union(*adjacency))
     if covered < target:
         raise InfeasibleError(
@@ -117,7 +117,7 @@ def mrs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     return set(people).difference(people[k] for k in keep)
 
 
-def mcs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
+def mcs_greedy(graph: FrozenGraph, delta: DeltaLike) -> set[PersonId]:
     """Approximate minimum critical set.
 
     Removes people in decreasing order of degree (ties to the smallest id)
@@ -125,15 +125,15 @@ def mcs_greedy(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     their own tasks covered, so degrees never change as others leave and the
     one-shot order equals per-step recomputation.
     """
-    people, _, adjacency = frozen = as_frozen(graph)
-    target = _coverage_target(frozen, delta)
+    people, _, adjacency = graph
+    target = _coverage_target(graph, delta)
     order = degree_slots(adjacency)
-    removed = greedy_critical(adjacency, order, frozen.task_degrees(), math.ceil(target))
+    removed = greedy_critical(adjacency, order, graph.task_degrees(), math.ceil(target))
     return {people[k] for k in order[:removed]}
 
 
 def _exact_inputs(
-    graph: GraphLike, delta: DeltaLike
+    graph: FrozenGraph, delta: DeltaLike
 ) -> tuple[tuple[PersonId, ...], list[int], Fraction]:
     """The people in id order, each one's tasks as a bitmask, and the
     coverage target; refuses graphs above the guard."""
@@ -143,11 +143,11 @@ def _exact_inputs(
             f"{EXACT_GUARD}-person guard"
         )
     target = _coverage_target(graph, delta)
-    people, _, adjacency = as_frozen(graph)
+    people, _, adjacency = graph
     return people, [sum(1 << t for t in own) for own in adjacency], target
 
 
-def mrs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
+def mrs_exact(graph: FrozenGraph, delta: DeltaLike) -> set[PersonId]:
     """Exhaustive maximum redundant set (smallest graphs only)."""
     people, masks, target = _exact_inputs(graph, delta)
     if _union_mask(masks).bit_count() < target:
@@ -158,7 +158,7 @@ def mrs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
     return _first_removal(people, masks, sizes, lambda covered: covered >= target)
 
 
-def mcs_exact(graph: GraphLike, delta: DeltaLike) -> set[PersonId]:
+def mcs_exact(graph: FrozenGraph, delta: DeltaLike) -> set[PersonId]:
     """Exhaustive minimum critical set (smallest graphs only)."""
     people, masks, target = _exact_inputs(graph, delta)
     sizes = range(len(people) + 1)
@@ -217,12 +217,11 @@ class CoverageReport:
         }
 
 
-def coverage_report(graph: GraphLike, delta: DeltaLike) -> CoverageReport:
+def coverage_report(graph: FrozenGraph, delta: DeltaLike) -> CoverageReport:
     """Greedy MRS/MCS witnesses plus the derived Z quantities."""
     d = normalize_delta(delta)
-    frozen = as_frozen(graph)
-    mrs = mrs_greedy(frozen, d)
-    mcs = mcs_greedy(frozen, d)
+    mrs = mrs_greedy(graph, d)
+    mcs = mcs_greedy(graph, d)
     return CoverageReport(
         delta=d,
         mrs_set=tuple(sorted(mrs)),

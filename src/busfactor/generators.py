@@ -26,8 +26,6 @@ from fractions import Fraction
 from .coverage import DeltaLike, greedy_critical, greedy_keep, normalize_delta
 from .graph import (
     FrozenGraph,
-    GraphLike,
-    as_frozen,
     degree_slots,
     require_nondegenerate,
 )
@@ -272,10 +270,9 @@ def _absent_picks(
     return absent
 
 
-def disjoint_union(first: GraphLike, second: GraphLike) -> FrozenGraph:
+def disjoint_union(first: FrozenGraph, second: FrozenGraph) -> FrozenGraph:
     """Combine two graphs, relabeling the second's ids above the first's;
     the concatenated views stay sorted."""
-    first, second = as_frozen(first), as_frozen(second)
     p_off = first.people[-1] + 1 if first.people else 0
     t_off = first.tasks[-1] + 1 if first.tasks else 0
     shift = first.n_tasks
@@ -295,11 +292,11 @@ class _Perturbation:
     degrees. A new person takes the fresh id ``max + 1`` and the next
     slot, which keeps the slots in id order."""
 
-    def __init__(self, graph: GraphLike):
-        people, self.tasks, adjacency = frozen = as_frozen(graph)
+    def __init__(self, graph: FrozenGraph):
+        people, self.tasks, adjacency = graph
         self.people = list(people)
         self.held = [set(own) for own in adjacency]
-        self.task_degree = frozen.task_degrees()
+        self.task_degree = graph.task_degrees()
 
     def add_edge(self, k: int, t: int) -> None:
         self.held[k].add(t)
@@ -351,7 +348,7 @@ def _edge_removals(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
 
 
 def _perturbation(
-    graph: GraphLike, kind: str, total_steps: int, seed: int
+    graph: FrozenGraph, kind: str, total_steps: int, seed: int
 ) -> tuple[_Perturbation, Iterator[None], int, list[str]]:
     """The dense state of ``graph``, an iterator each item of which applies
     one modification of ``kind`` to it, how many of ``total_steps`` the
@@ -422,7 +419,7 @@ class SweepTable:
 
 
 def run_sweep(
-    graph: GraphLike,
+    graph: FrozenGraph,
     kind: str,
     total_steps: int,
     stride: int = 100,

@@ -2,15 +2,15 @@
 
 People and tasks are plain non-negative integers living in two disjoint
 namespaces; an edge (p, t) means person ``p`` contributes to task ``t``.
-Every producer of a graph returns the frozen view; :class:`ProjectGraph`
-is for graphs built by hand. Analyses take either and treat both as
-read-only.
+Every producer of a graph returns the frozen view, and every analysis
+takes it and treats it as read-only; :class:`ProjectGraph` builds one by
+hand.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence, Sized
+from collections.abc import Iterable, Sequence, Sized
 from typing import NamedTuple
 
 from .errors import DegenerateError
@@ -48,10 +48,10 @@ class FrozenGraph(NamedTuple):
 
 
 class ProjectGraph:
-    """Simple bipartite graph between people and tasks, for building one by
-    hand: duplicate edges are rejected rather than collapsed, isolated nodes
-    on either side are representable, and :meth:`freeze` gives the view
-    through which it is read.
+    """Checked builder of a simple bipartite graph between people and
+    tasks: duplicate edges are rejected rather than collapsed, isolated
+    nodes on either side are representable, and :meth:`freeze` gives the
+    view that analyses take.
     """
 
     __slots__ = ("_people", "_tasks")
@@ -74,51 +74,6 @@ class ProjectGraph:
             if t not in self._tasks:
                 self.add_task(t)
             self.add_edge(p, t)
-
-    # -- basic accessors ---------------------------------------------------
-
-    @property
-    def people(self):
-        """View of all person ids."""
-        return self._people.keys()
-
-    @property
-    def tasks(self):
-        """View of all task ids."""
-        return self._tasks.keys()
-
-    @property
-    def n_people(self) -> int:
-        return len(self._people)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self._tasks)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(map(len, self._people.values()))
-
-    def edges(self) -> Iterator[tuple[PersonId, TaskId]]:
-        """All edges sorted by (person, task); the canonical order."""
-        for p in sorted(self._people):
-            for t in sorted(self._people[p]):
-                yield p, t
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectGraph):
-            return NotImplemented
-        return (
-            self._people.keys() == other._people.keys()
-            and self._tasks.keys() == other._tasks.keys()
-            and self._people == other._people
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ProjectGraph(|P|={self.n_people}, |T|={self.n_tasks}, "
-            f"|E|={self.n_edges})"
-        )
 
     def copy(self) -> ProjectGraph:
         graph = ProjectGraph.__new__(ProjectGraph)
@@ -164,15 +119,6 @@ def degree_slots(held: Sequence[Sized]) -> list[int]:
     return sorted(range(len(held)), key=lambda k: -len(held[k]))
 
 
-def thaw(
-    people: Sequence[PersonId], tasks: Sequence[TaskId], held: Iterable[Iterable[int]]
-) -> ProjectGraph:
-    """The graph in which ``people[k]`` does ``tasks[t]`` for each ``t`` in
-    ``held[k]``: the inverse of :meth:`ProjectGraph.freeze`."""
-    edges = ((people[k], tasks[t]) for k, own in enumerate(held) for t in own)
-    return ProjectGraph(people=people, tasks=tasks, edges=edges)
-
-
 def freeze_maps(
     people: dict[PersonId, Iterable[TaskId]], tasks: Iterable[TaskId]
 ) -> FrozenGraph:
@@ -186,16 +132,7 @@ def freeze_maps(
     return FrozenGraph(people_ids, task_ids, adjacency)
 
 
-GraphLike = ProjectGraph | FrozenGraph
-
-
-def as_frozen(graph: GraphLike) -> FrozenGraph:
-    """The dense view of ``graph``: a :class:`ProjectGraph` is frozen, a
-    :class:`FrozenGraph` is already one."""
-    return graph.freeze() if isinstance(graph, ProjectGraph) else graph
-
-
-def require_nondegenerate(graph: GraphLike) -> None:
+def require_nondegenerate(graph: FrozenGraph) -> None:
     """Raise unless the graph has at least one person and one task."""
     if graph.n_people == 0:
         raise DegenerateError("graph has no people")

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import ParseError
-from .graph import FrozenGraph, GraphLike, as_frozen, freeze_maps
+from .graph import FrozenGraph, freeze_maps
 
 FORMATS = ("csv", "json")
 
@@ -68,12 +68,12 @@ def parse_edge_list(data: str | bytes, fmt: str = "csv") -> FrozenGraph:
     return (_parse_csv if _known(fmt) == "csv" else _parse_json)(data)
 
 
-def render_edge_list(graph: GraphLike, fmt: str = "csv") -> str:
+def render_edge_list(graph: FrozenGraph, fmt: str = "csv") -> str:
     """Serialize ``graph`` canonically in the given format."""
     return "".join(_pieces(graph, fmt))
 
 
-def _pieces(graph: GraphLike, fmt: str) -> Iterator[str]:
+def _pieces(graph: FrozenGraph, fmt: str) -> Iterator[str]:
     return (csv_pieces if _known(fmt) == "csv" else json_pieces)(graph)
 
 
@@ -96,7 +96,7 @@ def load_edge_list(path: str | Path, fmt: str | None = None) -> FrozenGraph:
 
 
 def save_edge_list(
-    graph: GraphLike, path: str | Path, fmt: str | None = None
+    graph: FrozenGraph, path: str | Path, fmt: str | None = None
 ) -> None:
     write_text(path, _pieces(graph, file_format(path, fmt)))
 
@@ -153,11 +153,11 @@ def _parse_csv(data: str) -> FrozenGraph:
     return freeze_maps(people, task_ids.values())
 
 
-def csv_pieces(graph: GraphLike) -> Iterator[str]:
+def csv_pieces(graph: FrozenGraph) -> Iterator[str]:
     """The canonical CSV of ``graph``, yielded a person's edges at a time,
     then an isolated node at a time, so that a writer need not hold the
     whole text."""
-    people, tasks, adjacency = as_frozen(graph)
+    people, tasks, adjacency = graph
     yield "person,task\n"
     linked = bytearray(len(tasks))
     for p, own in zip(people, adjacency):
@@ -212,12 +212,12 @@ def _parse_json(data: str) -> FrozenGraph:
     return freeze_maps(people, task_ids.values())
 
 
-def json_pieces(graph: GraphLike, manifest: str | None = None) -> Iterator[str]:
+def json_pieces(graph: FrozenGraph, manifest: str | None = None) -> Iterator[str]:
     """The canonical JSON of ``graph``: keys sorted, two-space indent,
     yielded a person's edges at a time, then a node at a time, as
     :func:`csv_pieces` is. ``manifest`` is the text of a JSON value, as
     ``reporting.canonical_json`` renders it, put under a ``manifest`` key."""
-    people, tasks, adjacency = as_frozen(graph)
+    people, tasks, adjacency = graph
     yield '{\n  "edges": '
     yield from _json_array(
         ",".join([f'\n    [\n      "{person_label(p)}",\n      "{task_label(tasks[t])}"\n    ]'

@@ -23,10 +23,8 @@ from .errors import DegenerateError
 from .generators import ScalarDraws, make_rng
 from .graph import (
     FrozenGraph,
-    GraphLike,
     PersonId,
     TaskId,
-    as_frozen,
     degree_slots,
     require_nondegenerate,
 )
@@ -71,7 +69,7 @@ class SwapResult:
 
 
 def null_sample(
-    graph: GraphLike, config: NullModelConfig, sample_index: int = 0
+    graph: FrozenGraph, config: NullModelConfig, sample_index: int = 0
 ) -> SwapResult:
     """Degree-preserving random rewiring, deterministic per (seed, index).
 
@@ -79,8 +77,7 @@ def null_sample(
     (p1,t1), (p2,t2) are crossed to (p1,t2), (p2,t1) when all four nodes are
     distinct and neither crossed edge exists.
 
-    The swaps run on the dense view of ``graph``, which callers that draw
-    many samples pass in its place: edge ``i``, in the canonical (person,
+    The swaps run on the dense view: edge ``i``, in the canonical (person,
     task) order the draws index into, keeps its person's task set
     ``owned[i]`` (one of ``held``) for good, as a swap exchanges tasks
     only, and holds task index ``task[i]``. Since ``task[i]`` is always in
@@ -93,7 +90,7 @@ def null_sample(
     ``rng.integers(0, m, size=2 * attempts)`` draw.
     """
     config.validate()
-    people, tasks, adjacency = as_frozen(graph)
+    people, tasks, adjacency = graph
     held = tuple(set(own) for own in adjacency)
     owned = [own for own in held for _ in own]
     task = [t for own in adjacency for t in own]
@@ -144,7 +141,7 @@ class PermutationTestResult:
 
 
 def _null_objectives(
-    graph: GraphLike, config: NullModelConfig, start: int, stop: int
+    graph: FrozenGraph, config: NullModelConfig, start: int, stop: int
 ) -> list[float]:
     """Greedy robustness of the null samples ``start .. stop - 1``.
 
@@ -155,13 +152,12 @@ def _null_objectives(
     integer area and normalization as :func:`bus_factor_greedy`.
     """
     require_nondegenerate(graph)
-    frozen = as_frozen(graph)
-    reinsertion = degree_slots(frozen.adjacency)[::-1]
-    n_tasks = frozen.n_tasks
-    denom = _normalization(frozen.n_people, n_tasks)
+    reinsertion = degree_slots(graph.adjacency)[::-1]
+    n_tasks = graph.n_tasks
+    denom = _normalization(graph.n_people, n_tasks)
     values = []
     for i in range(start, stop):
-        held = null_sample(frozen, config, i).held
+        held = null_sample(graph, config, i).held
         values.append(insertion_area(n_tasks, [held[k] for k in reinsertion]) / denom)
         del held  # free this sample's sets before the next one is drawn
     return values
@@ -198,7 +194,7 @@ def _p_value(observed: float, nulls: Sequence[float]) -> float:
 
 
 def permutation_test(
-    graph: GraphLike, config: NullModelConfig, workers: int = 1
+    graph: FrozenGraph, config: NullModelConfig, workers: int = 1
 ) -> PermutationTestResult:
     """Lower-tail permutation test of the observed greedy robustness against
     null samples ``0 .. n_samples - 1``, p from :func:`_p_value`.
@@ -207,7 +203,6 @@ def permutation_test(
     boundaries once per chunk; results do not depend on the worker count.
     """
     config.validate()
-    graph = as_frozen(graph)
     observed = bus_factor_greedy(graph).value
     n = config.n_samples
     chunk = max(1, math.ceil(n / (workers * 8)))
@@ -217,7 +212,7 @@ def permutation_test(
 
 
 def calibrate_pvalues(
-    graph: GraphLike, config: NullModelConfig, trials: int, workers: int = 1
+    graph: FrozenGraph, config: NullModelConfig, trials: int, workers: int = 1
 ) -> list[float]:
     """p-values with the observed value itself drawn from the null.
 
@@ -229,7 +224,6 @@ def calibrate_pvalues(
     config.validate()
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    graph = as_frozen(graph)
     block = config.n_samples + 1
     jobs = ((graph, config, j * block, (j + 1) * block) for j in range(trials))
     blocks = _map_jobs(_null_objectives, jobs, workers)
@@ -272,7 +266,7 @@ class AnnealingTrace:
 
 
 def anneal(
-    graph: GraphLike, config: AnnealingConfig
+    graph: FrozenGraph, config: AnnealingConfig
 ) -> tuple[FrozenGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
@@ -307,7 +301,7 @@ def anneal(
     if graph.n_tasks < 2:
         raise DegenerateError("annealing needs at least two tasks")
 
-    people, tasks, adjacency = frozen = as_frozen(graph)
+    people, tasks, adjacency = graph
     n_tasks = len(tasks)
     reinsertion = degree_slots(adjacency)[::-1]
     slot = {i: k for k, i in enumerate(reinsertion)}
@@ -315,12 +309,12 @@ def anneal(
     # (slot, task index) in the canonical (person, task) order, which is
     # the order the edge draws index into
     edges = [(slot[i], t) for i, own in enumerate(adjacency) for t in own]
-    task_degree = frozen.task_degrees()
+    task_degree = graph.task_degrees()
     if not any(
         len(own) < n_tasks and any(task_degree[t] >= 2 for t in own)
         for own in held
     ):
-        return frozen, AnnealingTrace()
+        return graph, AnnealingTrace()
 
     starts = _segment_starts(held)
     segment = [bisect_right(starts, k) - 1 for k in range(len(held))]
@@ -449,13 +443,13 @@ def _joins_same_components(
     return rt in others and rn in others
 
 
-def _restart(graph: GraphLike, config: AnnealingConfig):
+def _restart(graph: FrozenGraph, config: AnnealingConfig):
     best, trace = anneal(graph, config)
     return bus_factor_greedy(best).value, best, trace
 
 
 def anneal_restarts(
-    graph: GraphLike, config: AnnealingConfig, restarts: int, workers: int = 1
+    graph: FrozenGraph, config: AnnealingConfig, restarts: int, workers: int = 1
 ) -> tuple[FrozenGraph, AnnealingTrace]:
     """The best of ``restarts`` independent :func:`anneal` chains, seeded
     ``config.seed + r``: the highest greedy robustness wins, ties to the
@@ -463,7 +457,6 @@ def anneal_restarts(
     config.validate()
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    graph = as_frozen(graph)
     jobs = ((graph, replace(config, seed=config.seed + r)) for r in range(restarts))
     # max keeps a running best over the lazy results, the first of ties,
     # so one finished chain is held besides the best, however many run
@@ -484,7 +477,7 @@ class PairedDecay:
             yield step, a, b
 
 
-def compare_decay(original: GraphLike, optimized: GraphLike) -> PairedDecay:
+def compare_decay(original: FrozenGraph, optimized: FrozenGraph) -> PairedDecay:
     """Pair the two greedy decay curves for side-by-side export."""
     if (original.n_people, original.n_tasks) != (optimized.n_people, optimized.n_tasks):
         raise ValueError("graphs must have matching people and task counts")

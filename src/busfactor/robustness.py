@@ -16,9 +16,7 @@ from collections.abc import Iterable, Sequence
 
 from .graph import (
     FrozenGraph,
-    GraphLike,
     PersonId,
-    as_frozen,
     degree_slots,
     require_nondegenerate,
 )
@@ -120,7 +118,7 @@ def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
     return state.area()
 
 
-def decay_curve(graph: GraphLike, order: RemovalSequence) -> DecayCurve:
+def decay_curve(graph: FrozenGraph, order: RemovalSequence) -> DecayCurve:
     """Decay curve for a full removal order, by reverse simulation.
 
     People are inserted back in reverse order into the task-only graph by
@@ -130,15 +128,14 @@ def decay_curve(graph: GraphLike, order: RemovalSequence) -> DecayCurve:
     return _ordered_removal(graph, order)[0]
 
 
-def _ordered_removal(graph: GraphLike, order: RemovalSequence) -> tuple[DecayCurve, int]:
+def _ordered_removal(graph: FrozenGraph, order: RemovalSequence) -> tuple[DecayCurve, int]:
     """:func:`_removal_curve` of the people of ``order`` in turn, which must
     list every person once."""
     order = list(order)
     if len(order) != graph.n_people or set(order) != set(graph.people):
         raise ValueError("removal sequence must be a permutation of all people")
-    frozen = as_frozen(graph)
-    position = {p: i for i, p in enumerate(frozen.people)}
-    return _removal_curve(frozen, [position[p] for p in order])
+    position = {p: i for i, p in enumerate(graph.people)}
+    return _removal_curve(graph, [position[p] for p in order])
 
 
 def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[DecayCurve, int]:
@@ -155,7 +152,7 @@ def _normalization(n_people: int, n_tasks: int) -> int:
     return n_tasks * (2 * n_people - 1)
 
 
-def robustness(graph: GraphLike, order: RemovalSequence) -> float:
+def robustness(graph: FrozenGraph, order: RemovalSequence) -> float:
     """Normalized trapezoidal area under the decay curve, in [0, 1].
 
     The area sum(tau[i-1] + tau[i]) / 2 is divided by the complete-graph
@@ -168,7 +165,7 @@ def robustness(graph: GraphLike, order: RemovalSequence) -> float:
     return area / _normalization(graph.n_people, graph.n_tasks)
 
 
-def greedy_order(graph: GraphLike) -> list[PersonId]:
+def greedy_order(graph: FrozenGraph) -> list[PersonId]:
     """Most-destructive-first heuristic order: decreasing degree, ties to
     the smallest id.
 
@@ -176,15 +173,14 @@ def greedy_order(graph: GraphLike) -> list[PersonId]:
     person-task graph, so re-ranking after every removal gives this same
     order.
     """
-    people, _, adjacency = as_frozen(graph)
+    people, _, adjacency = graph
     return [people[k] for k in degree_slots(adjacency)]
 
 
-def bus_factor_greedy(graph: GraphLike) -> RobustnessResult:
+def bus_factor_greedy(graph: FrozenGraph) -> RobustnessResult:
     """Upper bound on worst-case robustness via the degree-order heuristic."""
     require_nondegenerate(graph)
-    frozen = as_frozen(graph)
-    return _result(frozen, degree_slots(frozen.adjacency))  # the greedy_order
+    return _result(graph, degree_slots(graph.adjacency))  # the greedy_order
 
 
 def _result(frozen: FrozenGraph, slots: Sequence[int]) -> RobustnessResult:
@@ -197,7 +193,7 @@ def _result(frozen: FrozenGraph, slots: Sequence[int]) -> RobustnessResult:
     )
 
 
-def bus_factor_exact(graph: GraphLike) -> RobustnessResult:
+def bus_factor_exact(graph: FrozenGraph) -> RobustnessResult:
     """Exhaustive minimum over all removal orders (smallest graphs only).
 
     All orders share the same normalization, so candidates are compared by
@@ -209,12 +205,11 @@ def bus_factor_exact(graph: GraphLike) -> RobustnessResult:
             f"exact search refused: {graph.n_people} people exceeds the "
             f"{EXACT_GUARD}-person guard"
         )
-    frozen = as_frozen(graph)
-    n_tasks, adjacency = len(frozen.tasks), frozen.adjacency
+    n_tasks, adjacency = len(graph.tasks), graph.adjacency
     # slots are in id order, so permutations come in lexicographic id order
     # and min keeps the first, the lexicographically smallest, least area
     slots = min(
         itertools.permutations(range(graph.n_people)),
         key=lambda order: insertion_area(n_tasks, [adjacency[k] for k in reversed(order)]),
     )
-    return _result(frozen, slots)
+    return _result(graph, slots)

@@ -23,7 +23,7 @@ from busfactor.generators import (
     _sample_powerlaw_degrees,
     make_rng,
 )
-from busfactor.graph import GraphLike, ProjectGraph, as_frozen, freeze_maps
+from busfactor.graph import FrozenGraph, ProjectGraph, freeze_maps
 from busfactor.optimize import (
     AnnealingConfig,
     AnnealingTrace,
@@ -40,26 +40,26 @@ from busfactor.robustness import (
 
 
 @pytest.fixture
-def four_edge_graph() -> ProjectGraph:
+def four_edge_graph() -> FrozenGraph:
     """p1 on {t1,t2}, p2 on {t2,t3}."""
-    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3)])
+    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3)]).freeze()
 
 
 @pytest.fixture
-def k22() -> ProjectGraph:
-    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2)])
+def k22() -> FrozenGraph:
+    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2)]).freeze()
 
 
 @pytest.fixture
-def star_graph() -> ProjectGraph:
+def star_graph() -> FrozenGraph:
     """One person covering five tasks."""
-    return ProjectGraph(edges=[(1, t) for t in range(1, 6)])
+    return ProjectGraph(edges=[(1, t) for t in range(1, 6)]).freeze()
 
 
 @pytest.fixture
-def two_stars() -> ProjectGraph:
+def two_stars() -> FrozenGraph:
     """p1 on {t1,t2}; p2 on {t3,t4}; disconnected."""
-    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 3), (2, 4)])
+    return ProjectGraph(edges=[(1, 1), (1, 2), (2, 3), (2, 4)]).freeze()
 
 
 def random_bipartite(
@@ -68,7 +68,7 @@ def random_bipartite(
     max_tasks: int,
     edge_prob: float | None = None,
     allow_isolated: bool = True,
-) -> ProjectGraph:
+) -> FrozenGraph:
     """Random test graph; sizes uniform up to the caps."""
     n_p = int(rng.integers(1, max_people + 1))
     n_t = int(rng.integers(1, max_tasks + 1))
@@ -80,15 +80,15 @@ def random_bipartite(
         edges += [(p, int(rng.integers(n_t))) for p in range(n_p) if p not in linked]
         linked = {t for _, t in edges}
         edges += [(int(rng.integers(n_p)), t) for t in range(n_t) if t not in linked]
-    return ProjectGraph(people=range(n_p), tasks=range(n_t), edges=edges)
+    return ProjectGraph(people=range(n_p), tasks=range(n_t), edges=edges).freeze()
 
 
 class SetGraph:
     """The oracles' own editable graph, kept apart from the library's:
     ``by_person`` maps each person to their task set and ``by_task`` each
     task to its person set, and the edit methods keep the two in step.
-    It equals a ``SetGraph`` or a ``ProjectGraph`` with the same people,
-    tasks and edges; hand it to the library through :meth:`freeze`."""
+    It equals a ``SetGraph`` or a view with the same people, tasks and
+    edges; hand it to the library through :meth:`freeze`."""
 
     def __init__(self, people=(), tasks=(), edges=()):
         self.by_person: dict[int, set[int]] = {p: set() for p in people}
@@ -182,20 +182,20 @@ class SetGraph:
             raise ValueError(f"unknown task {task}")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (SetGraph, ProjectGraph)):
+        if not isinstance(other, (SetGraph, FrozenGraph)):
             return NotImplemented
-        return self.freeze() == other.freeze()
+        return self.freeze() == thawed(other).freeze()
 
     def __repr__(self) -> str:
         return f"SetGraph({sorted(self.people)}, {sorted(self.tasks)}, {list(self.edges())})"
 
 
-def thawed(graph) -> SetGraph:
-    """``graph`` as a :class:`SetGraph`; one already is returned as it is.
-    Every oracle thaws its input on entry."""
+def thawed(graph: FrozenGraph | SetGraph) -> SetGraph:
+    """The view ``graph`` as a :class:`SetGraph`; one already is returned as
+    it is. Every oracle thaws its input on entry."""
     if isinstance(graph, SetGraph):
         return graph
-    return held_graph(*as_frozen(graph))
+    return held_graph(*graph)
 
 
 def held_graph(people, tasks, held) -> SetGraph:
@@ -226,14 +226,20 @@ def degree_maps(graph) -> tuple[dict[int, int], dict[int, int]]:
 
 
 @st.composite
-def sparse_graphs(draw) -> ProjectGraph:
-    """Sparse non-contiguous ids declared in any order, isolated nodes on
-    both sides allowed."""
+def sparse_graph_parts(draw) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The declared people, tasks and edges of a graph: sparse
+    non-contiguous ids declared in any order, isolated nodes on both sides
+    allowed."""
     people = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
     tasks = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
     pairs = st.tuples(st.sampled_from(people), st.sampled_from(tasks))
     edges = draw(st.sets(pairs, max_size=30)) if people and tasks else set()
-    return ProjectGraph(people=people, tasks=tasks, edges=sorted(edges))
+    return people, tasks, sorted(edges)
+
+
+def sparse_graphs():
+    """The views of :func:`sparse_graph_parts` graphs."""
+    return sparse_graph_parts().map(lambda parts: ProjectGraph(*parts).freeze())
 
 
 def traced_peak(fn, *args) -> int:
@@ -562,7 +568,7 @@ def _has_feasible_move(graph: SetGraph) -> bool:
 
 
 def anneal_reference(
-    graph: GraphLike, config: AnnealingConfig
+    graph: FrozenGraph | SetGraph, config: AnnealingConfig
 ) -> tuple[SetGraph, AnnealingTrace]:
     """Rewire assignments to raise greedy robustness, workloads untouched.
 
@@ -661,7 +667,7 @@ class SwapResult(NamedTuple):
 
 
 def null_sample_reference(
-    graph: GraphLike, config: NullModelConfig, sample_index: int = 0
+    graph: FrozenGraph | SetGraph, config: NullModelConfig, sample_index: int = 0
 ) -> SwapResult:
     """Degree-preserving random rewiring, deterministic per (seed, index).
 
@@ -818,7 +824,7 @@ def _measure(graph: SetGraph, delta: Fraction) -> tuple[int, int, float] | None:
 
 
 def checkpoint_graphs_reference(
-    graph: GraphLike, kind: str, total_steps: int, stride: int, seed: int
+    graph: FrozenGraph | SetGraph, kind: str, total_steps: int, stride: int, seed: int
 ) -> tuple[list[tuple[int, SetGraph]], bool, list[str]]:
     """Materialize (modification count, snapshot) pairs, baseline included."""
     graph = thawed(graph)
@@ -888,7 +894,7 @@ def checkpoint_graphs_reference(
 
 
 def engine_snapshots(
-    graph: GraphLike, kind: str, steps: int, stride: int, seed: int = 0
+    graph: FrozenGraph, kind: str, steps: int, stride: int, seed: int = 0
 ) -> tuple[list[tuple[int, SetGraph]], bool, list[str]]:
     """What :func:`checkpoint_graphs_reference` gives, from the sweep's own
     engine: the state at each checkpoint thawed into a graph, whether the
@@ -902,7 +908,7 @@ def engine_snapshots(
 
 
 def run_sweep_reference(
-    graph: GraphLike,
+    graph: FrozenGraph | SetGraph,
     kind: str,
     total_steps: int,
     stride: int = 100,

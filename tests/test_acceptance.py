@@ -121,13 +121,13 @@ def test_criterion_3_robustness_bounds_and_anchors():
             people=range(n_p),
             tasks=range(n_t),
             edges=[(p, t) for p in range(n_p) for t in range(n_t)],
-        )
+        ).freeze()
         assert bus_factor_greedy(complete).value == 1.0  # tolerance 0
 
-    edgeless = ProjectGraph(people=range(3), tasks=range(4))
+    edgeless = ProjectGraph(people=range(3), tasks=range(4)).freeze()
     assert bus_factor_greedy(edgeless).value == 0.0
 
-    fixture = ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3)])
+    fixture = ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3)]).freeze()
     assert abs(bus_factor_greedy(fixture).value - 7 / 9) < 1e-15
 
     for _ in range(100):

@@ -5,38 +5,11 @@ import io
 import re
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings
-
 import busfactor
-from busfactor import (
-    AnnealingConfig,
-    BusFactorError,
-    NullModelConfig,
-    anneal,
-    anneal_restarts,
-    bus_factor_exact,
-    bus_factor_greedy,
-    calibrate_pvalues,
-    compare_decay,
-    coverage_report,
-    decay_curve,
-    mcs_exact,
-    mcs_greedy,
-    mrs_exact,
-    mrs_greedy,
-    null_sample,
-    permutation_test,
-    render_edge_list,
-    robustness,
-    run_sweep,
-)
-from busfactor.generators import SWEEP_KINDS, GeneratorConfig, disjoint_union, generate_powerlaw
+from busfactor import AnnealingConfig, anneal, anneal_restarts, render_edge_list
+from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
 from busfactor.graph import FrozenGraph, ProjectGraph
-from busfactor.io import json_pieces, load_edge_list, parse_edge_list, save_edge_list
-from busfactor.robustness import greedy_order
-
-from conftest import sparse_graphs
+from busfactor.io import load_edge_list, parse_edge_list, save_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -131,15 +104,11 @@ def test_project_graph_surface_is_pinned():
         "add_person",
         "add_task",
         "copy",
-        "edges",
         "freeze",
-        "n_edges",
-        "n_people",
-        "n_tasks",
-        "people",
-        "tasks",
     ]
-    assert ProjectGraph.__hash__ is None  # it defines __eq__ and is mutable
+    # builders compare by identity; their views compare by value
+    assert ProjectGraph.__eq__ is object.__eq__
+    assert ProjectGraph.__hash__ is object.__hash__
 
 
 def test_readme_library_example_prints_what_it_says():
@@ -158,68 +127,7 @@ def test_readme_library_example_prints_what_it_says():
         assert printed == expected
 
 
-_NULL = NullModelConfig(n_samples=4, swaps_per_edge=2, seed=5)
 _ANNEAL = AnnealingConfig(steps_per_temperature=5, cooling_rate=0.5, min_temperature=0.01, seed=3)
-
-# every public analysis and graph writer, by name
-_ANALYSES = {
-    "coverage_report": lambda g: coverage_report(g, "1/5"),
-    "mrs_greedy": lambda g: mrs_greedy(g, 0.2),
-    "mcs_greedy": lambda g: mcs_greedy(g, 0.5),
-    "mrs_exact": lambda g: mrs_exact(g, "1/4"),
-    "mcs_exact": lambda g: mcs_exact(g, "2/3"),
-    "bus_factor_greedy": bus_factor_greedy,
-    # seven or eight people take seconds; nine are refused
-    "bus_factor_exact": lambda g: None if 6 < g.n_people <= 8 else bus_factor_exact(g),
-    "greedy_order": greedy_order,
-    "decay_curve": lambda g: decay_curve(g, sorted(g.people, reverse=True)),
-    "robustness": lambda g: robustness(g, sorted(g.people, reverse=True)),
-    **{
-        f"run_sweep {kind}": lambda g, kind=kind: run_sweep(g, kind, 6, 2, seed=1)
-        for kind in SWEEP_KINDS
-    },
-    "null_sample": lambda g: null_sample(g, _NULL, 2),
-    "permutation_test": lambda g: permutation_test(g, _NULL),
-    "calibrate_pvalues": lambda g: calibrate_pvalues(g, _NULL, trials=2),
-    "anneal": lambda g: anneal(g, _ANNEAL),
-    "anneal_restarts": lambda g: anneal_restarts(g, _ANNEAL, 2),
-    "compare_decay": lambda g: compare_decay(g, g),
-    "render_edge_list csv": lambda g: render_edge_list(g, "csv"),
-    "render_edge_list json": lambda g: render_edge_list(g, "json"),
-    "json_pieces": lambda g: "".join(json_pieces(g)),
-}
-
-
-def _outcome(analysis, graph):
-    try:
-        return analysis(graph)
-    except (BusFactorError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_graphs())
-def test_analyses_give_the_same_result_on_the_frozen_view(graph):
-    frozen = graph.freeze()
-    for name, analysis in _ANALYSES.items():
-        assert _outcome(analysis, frozen) == _outcome(analysis, graph), name
-
-
-@pytest.mark.parametrize("name", sorted(set(_ANALYSES) - {"compare_decay"}))
-def test_analyses_freeze_a_project_graph_once(monkeypatch, name):
-    # compare_decay is left out: it freezes each of its two graphs
-    edges = [(p, t) for p in range(6) for t in range(8) if (3 * p + t) % 4 < 2]
-    graph = ProjectGraph(edges=edges)
-    frozen = []
-    freeze = ProjectGraph.freeze
-
-    def counted(g):
-        frozen.append(g)
-        return freeze(g)
-
-    monkeypatch.setattr(ProjectGraph, "freeze", counted)
-    _ANALYSES[name](graph)
-    assert sum(g is graph for g in frozen) == 1
 
 
 def test_producers_return_the_frozen_view(tmp_path):
@@ -240,22 +148,41 @@ def test_producers_return_the_frozen_view(tmp_path):
         assert type(graph) is FrozenGraph, name
 
 
+def _names(path: Path) -> set[str]:
+    """Every name that the module at ``path`` defines, binds, reads or
+    imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
 def test_only_the_graph_module_names_project_graph():
-    # every producer returns the frozen view; the mutable graph is for
-    # graphs built by hand, and lives in graph.py (and the public names)
-    naming = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name in ("graph.py", "__init__.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = (
-                [node.id] if isinstance(node, ast.Name)
-                else [node.attr] if isinstance(node, ast.Attribute)
-                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                else []
-            )
-            if "ProjectGraph" in names:
-                naming.append(path.name)
+    # every producer returns the frozen view; the builder is for graphs
+    # built by hand, and lives in graph.py (and the public names)
+    naming = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("graph.py", "__init__.py") and "ProjectGraph" in _names(path)
+    ]
+    assert naming == []
+
+
+def test_no_module_names_a_second_graph_path():
+    # analyses take the frozen view only: no union type, no conversion on
+    # entry and no way back to a builder
+    naming = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(_names(path) & {"GraphLike", "as_frozen", "thaw"})
+    ]
     assert naming == []
 
 

@@ -163,7 +163,7 @@ def test_sweep_without_people_is_infeasible(tmp_path, capsys, kind):
 
 def test_nulltest_k22(tmp_path):
     graph_path = tmp_path / "k22.csv"
-    save_edge_list(ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2)]), graph_path)
+    save_edge_list(ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2)]).freeze(), graph_path)
     out = tmp_path / "null.json"
     assert run("nulltest", "--input", graph_path, "--samples", 9, "--seed", 3,
                "--output", out) == 0
@@ -216,19 +216,18 @@ def test_optimize_outputs(tmp_path):
     assert len(decay_lines) == 2 + silo.n_people + 1
 
 
-def _graph_work(monkeypatch) -> list[str]:
-    """Records each ``ProjectGraph`` made or frozen. graph.py, the one
-    module that names the class, makes one only through ``__init__``
-    (``ProjectGraph(...)``, ``thaw``) or ``copy``."""
+def _views_built(monkeypatch) -> list[tuple]:
+    """Records each view built by ``graph.freeze_maps``, through which the
+    parsers and ``ProjectGraph.freeze`` build one; ``io`` binds it by name."""
     calls = []
-    for method in ("__init__", "copy", "freeze"):
-        original = getattr(ProjectGraph, method)
+    original = busfactor.graph.freeze_maps
 
-        def counted(graph, *args, original=original, method=method, **kwargs):
-            calls.append(method)
-            return original(graph, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(ProjectGraph, method, counted)
+    monkeypatch.setattr(busfactor.graph, "freeze_maps", counted)
+    monkeypatch.setattr(busfactor.io, "freeze_maps", counted)
     return calls
 
 
@@ -242,19 +241,28 @@ def _graph_work(monkeypatch) -> list[str]:
     ],
 )
 def test_commands_freeze_their_input_once(tmp_path, criterion9_path, monkeypatch, argv):
-    # the parser hands over the frozen view: no command builds or freezes a graph
-    calls = _graph_work(monkeypatch)
+    # the parser builds the one view that the command reads
+    calls = _views_built(monkeypatch)
     assert run(*argv, "--input", criterion9_path, "--output", tmp_path / "out") == 0
-    assert calls == []
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_optimize_freezes_the_winner_once(tmp_path, criterion9_path, monkeypatch, restarts):
-    # the input, each chain's best and the winner are all frozen views
-    calls = _graph_work(monkeypatch)
+    # the parsed input is the one view built: each chain's best and the
+    # winner come out of the annealer as views
+    calls = _views_built(monkeypatch)
     argv = ("optimize", "--input", criterion9_path, "--restarts", restarts,
             "--workers", 1, "--steps-per-temperature", 5, "--cooling-rate", "0.5",
             "--min-temperature", "1e-3", "--output-prefix", tmp_path / "opt")
+    assert run(*argv) == 0
+    assert len(calls) == 1
+
+
+def test_generate_freezes_nothing(tmp_path, monkeypatch):
+    # the generator builds its view directly
+    calls = _views_built(monkeypatch)
+    argv = ("generate", "--people", 30, "--tasks", 40, "--output", tmp_path / "g.csv")
     assert run(*argv) == 0
     assert calls == []
 

@@ -26,6 +26,7 @@ from conftest import (
     random_bipartite,
     remove_people,
     sparse_graphs,
+    thawed,
 )
 
 
@@ -49,7 +50,7 @@ def test_normalize_delta():
 def test_mrs_greedy_examples(four_edge_graph, k22):
     assert mrs_greedy(four_edge_graph, 0.5) == {2}
     assert mrs_greedy(k22, 1) == {2}
-    empty = ProjectGraph(people=[1, 2], tasks=[1, 2])
+    empty = ProjectGraph(people=[1, 2], tasks=[1, 2]).freeze()
     with pytest.raises(InfeasibleError):
         mrs_greedy(empty, 0.5)
 
@@ -64,12 +65,12 @@ def test_exact_examples(four_edge_graph, k22):
     assert len(mrs_exact(four_edge_graph, 0.5)) == 1
     assert len(mcs_exact(four_edge_graph, 0.5)) == 2
     assert mcs_exact(k22, 1) == {1, 2}
-    single = ProjectGraph(edges=[(1, 1)])
+    single = ProjectGraph(edges=[(1, 1)]).freeze()
     assert mcs_exact(single, 0.5) == {1}
 
 
 def test_exact_guard():
-    big = ProjectGraph(people=range(21), tasks=[0], edges=[(p, 0) for p in range(21)])
+    big = ProjectGraph(people=range(21), tasks=[0], edges=[(p, 0) for p in range(21)]).freeze()
     with pytest.raises(ValueError, match="guard"):
         mrs_exact(big, 0.5)
     with pytest.raises(ValueError, match="guard"):
@@ -77,10 +78,10 @@ def test_exact_guard():
 
 
 def test_degenerate_graphs():
-    no_tasks = ProjectGraph(people=[1])
+    no_tasks = ProjectGraph(people=[1]).freeze()
     with pytest.raises(DegenerateError):
         mcs_greedy(no_tasks, 0.5)
-    no_people = ProjectGraph(tasks=[1])
+    no_people = ProjectGraph(tasks=[1]).freeze()
     with pytest.raises(DegenerateError):
         mrs_greedy(no_people, 0.5)
 
@@ -88,11 +89,8 @@ def test_degenerate_graphs():
 def test_threshold_arithmetic_is_exact():
     # 20 tasks, delta 0.55: target is exactly 11; binary-float delta would
     # put it a hair above and flip both comparisons.
-    g = ProjectGraph(people=[1, 2], tasks=range(20))
-    for t in range(11):
-        g.add_edge(1, t)
-    for t in range(20):
-        g.add_edge(2, t)
+    edges = [(1, t) for t in range(11)] + [(2, t) for t in range(20)]
+    g = ProjectGraph(people=[1, 2], tasks=range(20), edges=edges).freeze()
     assert mrs_greedy(g, "0.55") == {1}  # keeping p2 covers 20 >= 11
     # p1 alone covers exactly 11 = target, so {2} must remain feasible
     assert len(mrs_exact(g, "0.55")) == 1
@@ -165,8 +163,9 @@ def test_determinism(four_edge_graph):
     rng = np.random.default_rng(8)
     for _ in range(10):
         g = random_bipartite(rng, 9, 9, allow_isolated=False)
-        assert mrs_greedy(g, 0.5) == mrs_greedy(g.copy(), 0.5)
-        assert mcs_greedy(g, 0.5) == mcs_greedy(g.copy(), 0.5)
+        rebuilt = thawed(g).freeze()
+        assert mrs_greedy(g, 0.5) == mrs_greedy(rebuilt, 0.5)
+        assert mcs_greedy(g, 0.5) == mcs_greedy(rebuilt, 0.5)
     assert coverage_report(four_edge_graph, 0.5) == coverage_report(
         four_edge_graph, 0.5
     )

@@ -165,7 +165,7 @@ def test_generate_powerlaw_exponent_mle():
 
 
 def test_densify_counts():
-    g = ProjectGraph(people=range(3), tasks=range(3))
+    g = ProjectGraph(people=range(3), tasks=range(3)).freeze()
     snapshots, truncated, _ = engine_snapshots(g, "densify", 4, 2)
     assert [(mods, h.n_edges) for mods, h in snapshots] == [(0, 0), (2, 2), (4, 4)]
     assert not truncated
@@ -181,7 +181,7 @@ def test_densify_saturation(k22):
 
 
 def test_densify_determinism():
-    g = ProjectGraph(people=range(5), tasks=range(5))
+    g = ProjectGraph(people=range(5), tasks=range(5)).freeze()
     a = engine_snapshots(g, "densify", 9, 3, seed=9)
     b = engine_snapshots(g, "densify", 9, 3, seed=9)
     assert [h.n_edges for _, h in a[0]] == [0, 3, 6, 9]
@@ -232,11 +232,11 @@ def test_add_duplicates(four_edge_graph):
     assert notes == ["cloning 5 people wraps around the 2 available"]
 
     with pytest.raises(DegenerateError, match="no people"):
-        run_sweep(ProjectGraph(tasks=[1, 2]), "duplicates", 1, 1)
+        run_sweep(ProjectGraph(tasks=[1, 2]).freeze(), "duplicates", 1, 1)
 
 
 def test_duplication_order():
-    g = ProjectGraph(edges=[(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    g = ProjectGraph(edges=[(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]).freeze()
     assert greedy_order(g) == [2, 3, 1]
 
 
@@ -344,7 +344,7 @@ def test_densify_and_sparsify_match_reference_snapshots():
         graphs.append(ProjectGraph(
             people=range(n_people), tasks=range(400),
             edges=[pair for pair, kept in zip(pairs, keep) if kept],
-        ))
+        ).freeze())
     for g in graphs:
         for kind in ("densify", "sparsify"):
             material = g.n_edges

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from busfactor.graph import ProjectGraph
 
-from conftest import largest_task_component_size, random_bipartite, remove_people
+from conftest import (
+    largest_task_component_size,
+    random_bipartite,
+    remove_people,
+    sparse_graph_parts,
+)
 
 
 def test_construction_counts(four_edge_graph):
@@ -15,16 +21,40 @@ def test_construction_counts(four_edge_graph):
     assert sorted(g.tasks) == [1, 2, 3]
 
 
-def test_duplicate_edge_rejected(four_edge_graph):
+def _increasing(ids) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graph_parts())
+def test_view_invariants(parts):
+    # every analysis reads the view as it is, with no conversion step
+    people, tasks, edges = parts
+    view = ProjectGraph(people, tasks, edges).freeze()
+    assert list(view.people) == sorted({*people, *(p for p, _ in edges)})
+    assert list(view.tasks) == sorted({*tasks, *(t for _, t in edges)})
+    assert _increasing(view.people) and _increasing(view.tasks)
+    assert len(view.adjacency) == view.n_people
+    for own in view.adjacency:
+        assert _increasing(own)
+        assert set(own) <= set(range(view.n_tasks))
+    read = {(view.people[k], view.tasks[t]) for k, own in enumerate(view.adjacency) for t in own}
+    assert read == set(edges)
+
+
+FOUR_EDGES = [(1, 1), (1, 2), (2, 2), (2, 3)]
+
+
+def test_duplicate_edge_rejected():
     with pytest.raises(ValueError, match="duplicate edge"):
-        four_edge_graph.add_edge(1, 1)
+        ProjectGraph(edges=FOUR_EDGES).add_edge(1, 1)
 
 
-def test_unknown_endpoints_rejected(four_edge_graph):
+def test_unknown_endpoints_rejected():
     with pytest.raises(ValueError, match="unknown person"):
-        four_edge_graph.add_edge(9, 1)
+        ProjectGraph(edges=FOUR_EDGES).add_edge(9, 1)
     with pytest.raises(ValueError, match="unknown task"):
-        four_edge_graph.add_edge(1, 9)
+        ProjectGraph(edges=FOUR_EDGES).add_edge(1, 9)
 
 
 def test_remove_people(four_edge_graph):
@@ -60,30 +90,30 @@ def test_largest_task_component(four_edge_graph):
     g = four_edge_graph
     assert largest_task_component_size(g) == 3
     assert largest_task_component_size(remove_people(g, [1])) == 2
-    empty = ProjectGraph(people=[1, 2], tasks=[1, 2])
+    empty = ProjectGraph(people=[1, 2], tasks=[1, 2]).freeze()
     assert largest_task_component_size(empty) == 0
 
 
 def test_largest_task_component_ignores_isolated_tasks():
-    g = ProjectGraph(people=[1], tasks=[1, 2, 3], edges=[(1, 1)])
+    g = ProjectGraph(people=[1], tasks=[1, 2, 3], edges=[(1, 1)]).freeze()
     assert largest_task_component_size(g) == 1
 
 
 def test_mutations(four_edge_graph):
-    g = four_edge_graph.copy()
+    builder = ProjectGraph(edges=FOUR_EDGES)
+    g = builder.copy()
     g.add_edge(2, 1)
-    assert g.n_edges == 5
-    assert list(g.edges()) == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
-    assert four_edge_graph.n_edges == 4
+    assert g.freeze() == ProjectGraph(edges=[(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]).freeze()
+    assert builder.freeze() == four_edge_graph
 
 
 def test_copy_is_independent(four_edge_graph):
-    g = four_edge_graph
-    c = g.copy()
+    builder = ProjectGraph(edges=FOUR_EDGES)
+    c = builder.copy()
     c.add_person(10)
     c.add_edge(10, 3)
-    assert 10 not in g.people
-    assert g.n_edges == 4
+    assert c.freeze().people == (1, 2, 10)
+    assert builder.freeze() == four_edge_graph
 
 
 def test_lctc_bounded_by_tasks():

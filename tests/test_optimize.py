@@ -72,7 +72,7 @@ def test_k22_is_rigid(k22):
 def test_four_edge_swap_candidates(four_edge_graph):
     # the only legal swap is (p1,t1),(p2,t3) -> (p1,t3),(p2,t1); samples are
     # therefore either the original or that one crossed variant
-    variant = ProjectGraph(edges=[(1, 3), (1, 2), (2, 2), (2, 1)])
+    variant = ProjectGraph(edges=[(1, 3), (1, 2), (2, 2), (2, 1)]).freeze()
     seen = set()
     for i in range(12):
         result = null_sample(four_edge_graph, NullModelConfig(n_samples=1, seed=2), i)
@@ -102,12 +102,12 @@ def test_null_sample_deterministic(four_edge_graph):
     assert swapped(null_sample(four_edge_graph, cfg, 4)) in (
         swapped(a),
         four_edge_graph,
-        ProjectGraph(edges=[(1, 3), (1, 2), (2, 2), (2, 1)]),
+        ProjectGraph(edges=[(1, 3), (1, 2), (2, 2), (2, 1)]).freeze(),
     )
 
 
 def test_tiny_graph_returned_unchanged():
-    g = ProjectGraph(edges=[(1, 1)])
+    g = ProjectGraph(edges=[(1, 1)]).freeze()
     result = null_sample(g, NullModelConfig(n_samples=1, seed=0), 0)
     assert swapped(result) == g
     assert result.attempts == 0 and result.swaps == 0
@@ -272,7 +272,7 @@ def test_calibration_blocks_match_reference(workers):
 def test_calibration_rejects_degenerate_graph():
     with pytest.raises(DegenerateError):
         calibrate_pvalues(
-            ProjectGraph(tasks=[1, 2]), NullModelConfig(n_samples=3), trials=2
+            ProjectGraph(tasks=[1, 2]).freeze(), NullModelConfig(n_samples=3), trials=2
         )
 
 
@@ -355,7 +355,7 @@ def test_restarts_keep_the_best_chain_and_the_earliest_tie():
     g = ProjectGraph(
         people=[9], tasks=[9],
         edges=[(1, 1), (1, 2), (2, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
-    )
+    ).freeze()
     config = AnnealingConfig(
         steps_per_temperature=20, cooling_rate=0.8, min_temperature=1e-3, seed=7
     )
@@ -430,7 +430,7 @@ def test_anneal_trace_best_is_monotone():
 
 def test_anneal_k22_noop(k22):
     optimized, trace = anneal(k22, SHORT_SA)
-    assert optimized == k22.freeze()
+    assert optimized == k22
     assert trace.rows == []
 
 
@@ -443,14 +443,14 @@ def test_anneal_deterministic():
 
 def test_anneal_degenerate_inputs():
     with pytest.raises(DegenerateError):
-        anneal(ProjectGraph(people=[1], tasks=[1, 2]), SHORT_SA)
+        anneal(ProjectGraph(people=[1], tasks=[1, 2]).freeze(), SHORT_SA)
     with pytest.raises(DegenerateError):
-        anneal(ProjectGraph(edges=[(1, 1)]), SHORT_SA)
+        anneal(ProjectGraph(edges=[(1, 1)]).freeze(), SHORT_SA)
 
 
 def test_anneal_never_abandons_tasks_midway():
     # a task with one contributor can gain edges but never lose its last one
-    g = ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+    g = ProjectGraph(edges=[(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]).freeze()
     before = thawed(g)
     covered_before = {t for t in before.tasks if before.degree_of_task(t) > 0}
     optimized = thawed(anneal(g, SHORT_SA)[0])
@@ -496,21 +496,21 @@ HUB = ProjectGraph(
     people=range(7),
     tasks=range(6),
     edges=[(5, t) for t in range(5)] + [(4, 0), (3, 1), (3, 2)],
-)
+).freeze()
 
 
 # person 3 has one task, and is inserted right after the isolated person 1,
 # while no component has formed yet
 ONE_TASK = ProjectGraph(
     people=range(4), tasks=range(4), edges=[(0, 0), (0, 1), (2, 0), (2, 3), (3, 0)]
-)
+).freeze()
 # accepted moves whose partition rejoins the current one at a later start,
 # with a different sum of maxima before it
 REJOIN = ProjectGraph(
     people=range(4),
     tasks=range(4),
     edges=[(0, 0), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)],
-)
+).freeze()
 
 
 @settings(max_examples=150, deadline=None)
