@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, graph_input: bool = True) -> None:
         p.add_argument("--config", help="JSON file of flag defaults")
         p.add_argument(
-            "--workers", type=_positive_flag, help="parallel workers (default 1)"
-        )
-        p.add_argument(
             "--format",
             choices=("csv", "json"),
             help="graph file format (default: by file extension)",
@@ -151,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nulltest", help="degree-preserving permutation test")
     common(p)
+    p.add_argument("--workers", type=_positive_flag, help="parallel workers (default 1)")
     p.add_argument("--samples", type=int, help="null ensemble size")
     p.add_argument("--swaps-per-edge", type=int)
     p.add_argument("--seed", type=_seed_flag)
@@ -168,6 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="simulated-annealing rewiring")
     common(p)
+    p.add_argument("--workers", type=_positive_flag, help="parallel workers (default 1)")
     p.add_argument("--seed", type=_seed_flag)
     p.add_argument("--initial-temperature", type=float)
     p.add_argument("--cooling-rate", type=float)
@@ -249,6 +248,13 @@ def _require(params: dict, *names: str) -> None:
             raise ParseError(f"missing required flag --{name.replace('_', '-')}")
 
 
+def _config(cls, params: dict, **renames: str):
+    """A ``cls`` config whose fields take the flags of the same names, or of
+    the names in ``renames``."""
+    fields = dataclasses.fields(cls)
+    return cls(**{f.name: params[renames.get(f.name, f.name)] for f in fields})
+
+
 def _load_graph(params: dict) -> tuple[FrozenGraph, str]:
     _require(params, "input")
     path = params["input"]
@@ -275,11 +281,10 @@ def _manifest(command: str, params: dict, input_digest: str | None) -> RunManife
 def _cmd_analyze(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output")
-    delta = normalize_delta(params["delta"])
     decay_path = params["decay_output"] or f"{params['output']}.decay.csv"
     manifest = _manifest("analyze", params, digest)
 
-    report = coverage_report(graph, delta)
+    report = coverage_report(graph, params["delta"])
     result = bus_factor_greedy(graph)
     write_text(decay_path, decay_csv(result, manifest))
     payload = {
@@ -296,14 +301,7 @@ def _cmd_analyze(params: dict) -> int:
 
 def _cmd_generate(params: dict) -> int:
     _require(params, "output")
-    config = GeneratorConfig(
-        n_people=params["people"],
-        n_tasks=params["tasks"],
-        exponent_people=params["exponent_people"],
-        exponent_tasks=params["exponent_tasks"],
-        min_degree=params["min_degree"],
-        seed=params["seed"],
-    )
+    config = _config(GeneratorConfig, params, n_people="people", n_tasks="tasks")
     graph = generate_powerlaw(config)
     manifest = _manifest("generate", params, None)
     _write_graph(graph, params["output"], params.get("format"), manifest)
@@ -339,11 +337,7 @@ def _cmd_sweep(params: dict) -> int:
 def _cmd_nulltest(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output")
-    config = NullModelConfig(
-        n_samples=params["samples"],
-        swaps_per_edge=params["swaps_per_edge"],
-        seed=params["seed"],
-    )
+    config = _config(NullModelConfig, params, n_samples="samples")
     manifest = _manifest("nulltest", params, digest)
     if params["calibrate"] is not None:
         pvalues = calibrate_pvalues(
@@ -368,15 +362,8 @@ def _cmd_nulltest(params: dict) -> int:
 def _cmd_optimize(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output_prefix")
-    config = AnnealingConfig(
-        initial_temperature=params["initial_temperature"],
-        cooling_rate=params["cooling_rate"],
-        steps_per_temperature=params["steps_per_temperature"],
-        min_temperature=params["min_temperature"],
-        seed=params["seed"],
-    )
     best_graph, best_trace = anneal_restarts(
-        graph, config, params["restarts"], params["workers"]
+        graph, _config(AnnealingConfig, params), params["restarts"], params["workers"]
     )
     manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DegenerateError, InfeasibleError
+from .errors import InfeasibleError
 from .graph import FrozenGraph, PersonId, degree_slots, require_nondegenerate
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets

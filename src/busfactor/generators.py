@@ -286,36 +286,19 @@ def disjoint_union(first: FrozenGraph, second: FrozenGraph) -> FrozenGraph:
 # -- the perturbation engine ----------------------------------------------------
 
 
-class _Perturbation:
-    """A graph in dense form, modified in place: people at slots in id
-    order, ``held[k]`` the task indices of slot ``k``, and the task
-    degrees. A new person takes the fresh id ``max + 1`` and the next
-    slot, which keeps the slots in id order."""
-
-    def __init__(self, graph: FrozenGraph):
-        people, self.tasks, adjacency = graph
-        self.people = list(people)
-        self.held = [set(own) for own in adjacency]
-        self.task_degree = graph.task_degrees()
-
-    def add_edge(self, k: int, t: int) -> None:
-        self.held[k].add(t)
-        self.task_degree[t] += 1
-
-    def remove_edge(self, k: int, t: int) -> None:
-        self.held[k].remove(t)
-        self.task_degree[t] -= 1
-
-    def add_person(self, tasks: Iterable[int]) -> None:
-        self.people.append(self.people[-1] + 1)
-        self.held.append(set())
-        for t in tasks:
-            self.add_edge(len(self.held) - 1, t)
+def _add_person(held: list[set[int]], task_degree: list[int], tasks: Iterable[int]) -> None:
+    """Give a new person ``tasks`` in the next slot: the fresh id
+    ``max + 1``, which keeps the slots in id order."""
+    held.append(set(tasks))
+    for t in held[-1]:
+        task_degree[t] += 1
 
 
-def _edge_additions(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
+def _edge_additions(
+    held: list[set[int]], task_degree: list[int], rng: ScalarDraws
+) -> Iterator[None]:
     """Adds one uniformly random absent pair per item; some must be left."""
-    held, n_tasks = state.held, len(state.tasks)
+    n_tasks = len(task_degree)
     while True:
         for _ in range(200):
             k = rng.below(len(held))
@@ -331,28 +314,33 @@ def _edge_additions(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
                     break
                 rank -= n_tasks - len(own)
             t = [t for t in range(n_tasks) if t not in own][rank]
-        state.add_edge(k, t)
+        held[k].add(t)
+        task_degree[t] += 1
         yield
 
 
-def _edge_removals(state: _Perturbation, rng: ScalarDraws) -> Iterator[None]:
+def _edge_removals(
+    held: list[set[int]], task_degree: list[int], rng: ScalarDraws
+) -> Iterator[None]:
     """Removes one uniformly random edge per item; some must be left."""
-    edges = [(k, t) for k, own in enumerate(state.held) for t in sorted(own)]
+    edges = [(k, t) for k, own in enumerate(held) for t in sorted(own)]
     while True:
         i = rng.below(len(edges))
         k, t = edges[i]
         edges[i] = edges[-1]
         edges.pop()
-        state.remove_edge(k, t)
+        held[k].remove(t)
+        task_degree[t] -= 1
         yield
 
 
 def _perturbation(
     graph: FrozenGraph, kind: str, total_steps: int, seed: int
-) -> tuple[_Perturbation, Iterator[None], int, list[str]]:
-    """The dense state of ``graph``, an iterator each item of which applies
-    one modification of ``kind`` to it, how many of ``total_steps`` the
-    graph has material for, and notes on the run."""
+) -> tuple[list[set[int]], list[int], Iterator[None], int, list[str]]:
+    """The dense state of ``graph`` (``held[k]``, the task indices of slot
+    ``k``, and the task degrees), an iterator each item of which applies
+    one modification of ``kind`` to it in place, how many of
+    ``total_steps`` the graph has material for, and notes on the run."""
     if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
     if kind == "singletons" and total_steps > graph.n_tasks:
@@ -360,29 +348,30 @@ def _perturbation(
             f"cannot add {total_steps} singletons: only {graph.n_tasks} tasks "
             "(at most one specialist per task)"
         )
-    state = _Perturbation(graph)
+    held = [set(own) for own in graph.adjacency]
+    task_degree = graph.task_degrees()
     notes = []
     available = total_steps
     if kind == "densify":
-        modifications = _edge_additions(state, ScalarDraws(seed))
+        modifications = _edge_additions(held, task_degree, ScalarDraws(seed))
         available = graph.n_people * graph.n_tasks - graph.n_edges
     elif kind == "sparsify":
-        modifications = _edge_removals(state, ScalarDraws(seed))
+        modifications = _edge_removals(held, task_degree, ScalarDraws(seed))
         available = graph.n_edges
     elif kind == "singletons":
         picks = make_rng(seed).choice(graph.n_tasks, size=total_steps, replace=False)
-        modifications = (state.add_person((t,)) for t in picks.tolist())
+        modifications = (_add_person(held, task_degree, (t,)) for t in picks.tolist())
     else:
-        order = degree_slots(state.held)
+        order = degree_slots(held)
         if total_steps > len(order):
             notes.append(
                 f"cloning {total_steps} people wraps around the {len(order)} available"
             )
         clones = itertools.cycle(order)
-        modifications = (state.add_person(state.held[k]) for k in clones)
+        modifications = (_add_person(held, task_degree, held[k]) for k in clones)
     if total_steps > available:
         notes.append(f"no further edges to modify after {available} steps")
-    return state, modifications, min(total_steps, available), notes
+    return held, task_degree, modifications, min(total_steps, available), notes
 
 
 def _checkpoints(
@@ -439,12 +428,14 @@ def run_sweep(
     if total_steps < 1 or stride < 1:
         raise ValueError("total_steps and stride must be at least 1")
     require_nondegenerate(graph)
-    state, modifications, steps, notes = _perturbation(graph, kind, total_steps, seed)
+    held, task_degree, modifications, steps, notes = _perturbation(
+        graph, kind, total_steps, seed
+    )
     table = SweepTable(kind=kind, delta=d, truncated=steps < total_steps, notes=notes)
-    held, n_tasks = state.held, len(state.tasks)
+    n_tasks = graph.n_tasks
     need = math.ceil(d * n_tasks)
     for mods in _checkpoints(modifications, steps, stride):
-        if n_tasks - state.task_degree.count(0) < need:
+        if n_tasks - task_degree.count(0) < need:
             table.truncated = True
             table.notes.append(
                 f"coverage target unreachable from {mods} modifications on"
@@ -452,7 +443,7 @@ def run_sweep(
             break
         order = degree_slots(held)
         mrs = len(held) - len(greedy_keep(held, need))
-        mcs = greedy_critical(held, order, state.task_degree, need)
+        mcs = greedy_critical(held, order, task_degree, need)
         area = insertion_area(n_tasks, [held[k] for k in reversed(order)])
         value = area / _normalization(len(held), n_tasks)
         table.rows.append(SweepRow(mods, mrs, mcs, value))

@@ -10,8 +10,9 @@ reproduce files byte for byte.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
-from dataclasses import dataclass
+import itertools
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 
@@ -86,13 +87,7 @@ class RunManifest:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "input_sha256": self.input_sha256,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def comment_line(self) -> str:
         return "# manifest: " + canonical_json(self.to_dict(), indent=None)
@@ -105,28 +100,36 @@ def digest_file(path: str | Path) -> str:
 # -- CSV renderers ----------------------------------------------------------------
 
 
-def sweep_csv(table: SweepTable, manifest: RunManifest) -> str:
-    lines = [manifest.comment_line()]
-    for note in table.notes:
-        lines.append(f"# note: {note}")
+def _csv(
+    manifest: RunManifest, header: str, rows: Iterable[str], comments: Iterable[str] = ()
+) -> Iterator[str]:
+    """The lines of a CSV artifact: the manifest comment, the ``#``
+    comments, the header, then the rows. They are yielded one at a time,
+    so that a writer holds no more than a buffer of them."""
+    yield manifest.comment_line() + "\n"
+    for comment in comments:
+        yield f"# {comment}\n"
+    yield header + "\n"
+    for row in rows:
+        yield row + "\n"
+
+
+def sweep_csv(table: SweepTable, manifest: RunManifest) -> Iterator[str]:
+    comments = [f"note: {note}" for note in table.notes]
     if table.truncated:
-        lines.append("# truncated: true")
-    lines.append("modifications,mrs,mcs,robustness")
-    for row in table.rows:
-        lines.append(
-            f"{row.modifications},{row.mrs_size},{row.mcs_size},"
-            f"{fmt_float(row.robustness)}"
-        )
-    return "\n".join(lines) + "\n"
+        comments.append("truncated: true")
+    rows = (
+        f"{row.modifications},{row.mrs_size},{row.mcs_size},"
+        f"{fmt_float(row.robustness)}"
+        for row in table.rows
+    )
+    return _csv(manifest, "modifications,mrs,mcs,robustness", rows, comments)
 
 
-def decay_csv(result: RobustnessResult, manifest: RunManifest) -> str:
-    lines = [manifest.comment_line(), "step,removed_person,tau"]
-    values = result.curve.values
-    lines.append(f"0,,{values[0]}")
-    for i, person in enumerate(result.sequence, start=1):
-        lines.append(f"{i},{person_label(person)},{values[i]}")
-    return "\n".join(lines) + "\n"
+def decay_csv(result: RobustnessResult, manifest: RunManifest) -> Iterator[str]:
+    removed = itertools.chain([""], map(person_label, result.sequence))
+    rows = map("{},{},{}".format, itertools.count(), removed, result.curve.values)
+    return _csv(manifest, "step,removed_person,tau", rows)
 
 
 class _FloatText(dict):
@@ -140,18 +143,16 @@ class _FloatText(dict):
 
 
 def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> Iterator[str]:
-    """The lines of the trace, one row per accepted step, yielded so that a
-    writer holds no more than a buffer of them. A chain has few distinct
-    temperatures and best objectives, so each is formatted once."""
-    yield manifest.comment_line() + "\nstep,temperature,objective\n"
+    """One row per accepted step. A chain has few distinct temperatures and
+    best objectives, so each is formatted once."""
     text = _FloatText()  # temperatures are positive, objectives non-negative
-    for step, temperature, objective in trace.rows:
-        yield f"{step},{text[temperature]},{text[objective]}\n"
+    rows = (
+        f"{step},{text[temperature]},{text[objective]}"
+        for step, temperature, objective in trace.rows
+    )
+    return _csv(manifest, "step,temperature,objective", rows)
 
 
-def paired_decay_csv(paired: PairedDecay, manifest: RunManifest) -> str:
-    lines = [manifest.comment_line(), "step,tau_original,tau_optimized"]
-    for step, a, b in paired.rows():
-        lines.append(f"{step},{a},{b}")
-    return "\n".join(lines) + "\n"
-
+def paired_decay_csv(paired: PairedDecay, manifest: RunManifest) -> Iterator[str]:
+    rows = (f"{step},{a},{b}" for step, a, b in paired.rows())
+    return _csv(manifest, "step,tau_original,tau_optimized", rows)

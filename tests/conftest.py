@@ -898,12 +898,15 @@ def engine_snapshots(
 ) -> tuple[list[tuple[int, SetGraph]], bool, list[str]]:
     """What :func:`checkpoint_graphs_reference` gives, from the sweep's own
     engine: the state at each checkpoint thawed into a graph, whether the
-    material ran out, and the engine's notes."""
-    state, modifications, available, notes = _perturbation(graph, kind, steps, seed)
-    snapshots = [
-        (done, held_graph(state.people, state.tasks, state.held))
-        for done in _checkpoints(modifications, available, stride)
-    ]
+    material ran out, and the engine's notes. Each added slot's person
+    takes the next fresh id: ``max + 1``, ``max + 2``, ..."""
+    held, _, modifications, available, notes = _perturbation(graph, kind, steps, seed)
+    first_fresh = graph.people[-1] + 1
+    snapshots = []
+    for done in _checkpoints(modifications, available, stride):
+        added = len(held) - graph.n_people
+        people = graph.people + tuple(range(first_fresh, first_fresh + added))
+        snapshots.append((done, held_graph(people, graph.tasks, held)))
     return snapshots, available < steps, notes
 
 

@@ -197,3 +197,22 @@ def test_no_test_reads_project_graph_fields():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import that nothing reads is dead code, and hides what a module uses
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [(path.name, name) for name in sorted(imported - read)]
+    assert unread == []

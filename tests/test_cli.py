@@ -569,6 +569,20 @@ def test_non_utf8_input_is_input_error(tmp_path):
     assert run("analyze", "--input", bad, "--output", tmp_path / "o.json") == 1
 
 
+def test_workers_is_offered_only_where_a_pool_runs(tmp_path, fixture_path, capsys):
+    actions = cli._flag_actions(cli.build_parser())
+    assert [c for c, flags in actions.items() if "workers" in flags] == ["nulltest", "optimize"]
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        run("analyze", "--input", fixture_path, "--workers", 2, "--output", out)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    # a shared config's workers key is a key of another subcommand here
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workers": 2}))
+    assert run("analyze", "--input", fixture_path, "--config", config, "--output", out) == 0
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_nonpositive_workers_rejected_with_usage(fixture_path, tmp_path, capsys, workers):
     with pytest.raises(SystemExit) as exc:
