@@ -26,12 +26,10 @@ from .optimize import (
     anneal,
     anneal_restarts,
     calibrate_pvalues,
-    compare_decay,
     null_sample,
     permutation_test,
 )
 from .robustness import (
-    DecayCurve,
     RobustnessResult,
     bus_factor_exact,
     bus_factor_greedy,
@@ -45,7 +43,6 @@ __all__ = [
     "AnnealingConfig",
     "BusFactorError",
     "CoverageReport",
-    "DecayCurve",
     "DegenerateError",
     "GeneratorConfig",
     "InfeasibleError",
@@ -60,7 +57,6 @@ __all__ = [
     "bus_factor_exact",
     "bus_factor_greedy",
     "calibrate_pvalues",
-    "compare_decay",
     "coverage_report",
     "decay_curve",
     "disjoint_union",

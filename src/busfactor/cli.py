@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
 import sys
@@ -35,7 +36,6 @@ from .optimize import (
     NullModelConfig,
     anneal_restarts,
     calibrate_pvalues,
-    compare_decay,
     permutation_test,
 )
 from .reporting import (
@@ -248,11 +248,11 @@ def _require(params: dict, *names: str) -> None:
             raise ParseError(f"missing required flag --{name.replace('_', '-')}")
 
 
-def _config(cls, params: dict, **renames: str):
-    """A ``cls`` config whose fields take the flags of the same names, or of
-    the names in ``renames``."""
-    fields = dataclasses.fields(cls)
-    return cls(**{f.name: params[renames.get(f.name, f.name)] for f in fields})
+def _call(fn, params: dict, *args, **renames: str):
+    """``fn(*args, ...)`` with each later parameter of ``fn`` taking the flag
+    of the same name, or of its name in ``renames``."""
+    names = list(inspect.signature(fn).parameters)[len(args):]
+    return fn(*args, **{name: params[renames.get(name, name)] for name in names})
 
 
 def _load_graph(params: dict) -> tuple[FrozenGraph, str]:
@@ -292,7 +292,7 @@ def _cmd_analyze(params: dict) -> int:
         **report.to_dict(),
         "robustness": result.value,
         "removal_sequence": [person_label(p) for p in result.sequence],
-        "curve": list(result.curve.values),
+        "curve": list(result.curve),
         "decay_curve": str(decay_path),
     }
     write_text(params["output"], canonical_json(payload))
@@ -301,7 +301,7 @@ def _cmd_analyze(params: dict) -> int:
 
 def _cmd_generate(params: dict) -> int:
     _require(params, "output")
-    config = _config(GeneratorConfig, params, n_people="people", n_tasks="tasks")
+    config = _call(GeneratorConfig, params, n_people="people", n_tasks="tasks")
     graph = generate_powerlaw(config)
     manifest = _manifest("generate", params, None)
     _write_graph(graph, params["output"], params.get("format"), manifest)
@@ -321,14 +321,7 @@ def _write_graph(
 def _cmd_sweep(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output", "kind")
-    table = run_sweep(
-        graph,
-        kind=params["kind"],
-        total_steps=params["steps"],
-        stride=params["stride"],
-        delta=params["delta"],
-        seed=params["seed"],
-    )
+    table = _call(run_sweep, params, graph, total_steps="steps")
     manifest = _manifest("sweep", params, digest)
     write_text(params["output"], sweep_csv(table, manifest))
     return 0
@@ -337,7 +330,7 @@ def _cmd_sweep(params: dict) -> int:
 def _cmd_nulltest(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output")
-    config = _config(NullModelConfig, params, n_samples="samples")
+    config = _call(NullModelConfig, params, n_samples="samples")
     manifest = _manifest("nulltest", params, digest)
     if params["calibrate"] is not None:
         pvalues = calibrate_pvalues(
@@ -363,15 +356,15 @@ def _cmd_optimize(params: dict) -> int:
     graph, digest = _load_graph(params)
     _require(params, "output_prefix")
     best_graph, best_trace = anneal_restarts(
-        graph, _config(AnnealingConfig, params), params["restarts"], params["workers"]
+        graph, _call(AnnealingConfig, params), params["restarts"], params["workers"]
     )
     manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]
     fmt = params.get("format") or "csv"
     _write_graph(best_graph, f"{prefix}.graph.{fmt}", fmt, manifest)
     write_text(f"{prefix}.trace.csv", trace_csv(best_trace, manifest))
-    paired = compare_decay(graph, best_graph)
-    write_text(f"{prefix}.decay.csv", paired_decay_csv(paired, manifest))
+    curves = bus_factor_greedy(graph).curve, bus_factor_greedy(best_graph).curve
+    write_text(f"{prefix}.decay.csv", paired_decay_csv(*curves, manifest))
     return 0
 
 

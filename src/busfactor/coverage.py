@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError
 from .graph import FrozenGraph, PersonId, degree_slots, require_nondegenerate
+from .io import person_label
 
 EXACT_GUARD = 20  # subset enumeration refuses larger people sets
 
@@ -204,8 +205,6 @@ class CoverageReport:
         return len(self.mcs_set) - 1
 
     def to_dict(self) -> dict:
-        from .io import person_label
-
         return {
             "delta": float(self.delta),
             "mrs_set": [person_label(p) for p in self.mrs_set],

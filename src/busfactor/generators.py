@@ -164,7 +164,7 @@ class GeneratorConfig:
     min_degree: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_people < 1 or self.n_tasks < 1:
             raise ValueError("n_people and n_tasks must be at least 1")
         if not (
@@ -199,7 +199,6 @@ def generate_powerlaw(config: GeneratorConfig) -> FrozenGraph:
     ``0 .. n_tasks - 1``: each person's sorted task list is built and
     repaired in place, and no task's person set is ever kept."""
     import numpy as np
-    config.validate()
     rng = make_rng(config.seed)
     n_p, n_t, min_degree = config.n_people, config.n_tasks, config.min_degree
     deg_p = _sample_powerlaw_degrees(
@@ -400,8 +399,6 @@ class SweepRow:
 class SweepTable:
     """Metric readings along a perturbation, one row per checkpoint."""
 
-    kind: str
-    delta: Fraction
     rows: list[SweepRow] = field(default_factory=list)
     truncated: bool = False
     notes: list[str] = field(default_factory=list)
@@ -431,7 +428,7 @@ def run_sweep(
     held, task_degree, modifications, steps, notes = _perturbation(
         graph, kind, total_steps, seed
     )
-    table = SweepTable(kind=kind, delta=d, truncated=steps < total_steps, notes=notes)
+    table = SweepTable(truncated=steps < total_steps, notes=notes)
     n_tasks = graph.n_tasks
     need = math.ceil(d * n_tasks)
     for mods in _checkpoints(modifications, steps, stride):

@@ -29,7 +29,6 @@ from .graph import (
     require_nondegenerate,
 )
 from .robustness import (
-    DecayCurve,
     InsertionState,
     bus_factor_greedy,
     insertion_area,
@@ -47,7 +46,7 @@ class NullModelConfig:
     swaps_per_edge: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.swaps_per_edge < 1:
@@ -89,7 +88,6 @@ def null_sample(
     ``2 * _DRAW_PAIRS``; concatenated, the chunks equal one
     ``rng.integers(0, m, size=2 * attempts)`` draw.
     """
-    config.validate()
     people, tasks, adjacency = graph
     held = tuple(set(own) for own in adjacency)
     owned = [own for own in held for _ in own]
@@ -202,7 +200,6 @@ def permutation_test(
     Worker payloads are chunked so the base graph's view crosses process
     boundaries once per chunk; results do not depend on the worker count.
     """
-    config.validate()
     observed = bus_factor_greedy(graph).value
     n = config.n_samples
     chunk = max(1, math.ceil(n / (workers * 8)))
@@ -221,7 +218,6 @@ def calibrate_pvalues(
     ``j(n+1) .. (j+1)(n+1) - 1``, so trials are independent; the block's
     first sample is the observation and the other ``n`` its nulls.
     """
-    config.validate()
     if trials < 1:
         raise ValueError("trials must be at least 1")
     block = config.n_samples + 1
@@ -241,7 +237,7 @@ class AnnealingConfig:
     min_temperature: float = 1e-4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # also rejects nan, and inf, whose cooling loop would never end
         if not (
             0 < self.initial_temperature < math.inf
@@ -295,7 +291,6 @@ def anneal(
     that start and shifts the sums of those from it on; without a rejoin
     it takes the copies and the area of a full pass.
     """
-    config.validate()
     if graph.n_edges < 1:
         raise DegenerateError("annealing needs at least one edge")
     if graph.n_tasks < 2:
@@ -454,7 +449,6 @@ def anneal_restarts(
     """The best of ``restarts`` independent :func:`anneal` chains, seeded
     ``config.seed + r``: the highest greedy robustness wins, ties to the
     smallest seed. The result does not depend on ``workers``."""
-    config.validate()
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     jobs = ((graph, replace(config, seed=config.seed + r)) for r in range(restarts))
@@ -463,25 +457,3 @@ def anneal_restarts(
     results = _map_jobs(_restart, jobs, workers)
     _, best, trace = max(results, key=lambda result: result[0])
     return best, trace
-
-
-@dataclass(frozen=True)
-class PairedDecay:
-    """Greedy decay curves of a graph and a rewired counterpart."""
-
-    original: DecayCurve
-    optimized: DecayCurve
-
-    def rows(self):
-        for step, (a, b) in enumerate(zip(self.original.values, self.optimized.values)):
-            yield step, a, b
-
-
-def compare_decay(original: FrozenGraph, optimized: FrozenGraph) -> PairedDecay:
-    """Pair the two greedy decay curves for side-by-side export."""
-    if (original.n_people, original.n_tasks) != (optimized.n_people, optimized.n_tasks):
-        raise ValueError("graphs must have matching people and task counts")
-    return PairedDecay(
-        original=bus_factor_greedy(original).curve,
-        optimized=bus_factor_greedy(optimized).curve,
-    )

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 
 from .generators import SweepTable
 from .io import person_label
-from .optimize import AnnealingTrace, PairedDecay
+from .optimize import AnnealingTrace
 from .robustness import RobustnessResult
 
 
@@ -128,7 +128,7 @@ def sweep_csv(table: SweepTable, manifest: RunManifest) -> Iterator[str]:
 
 def decay_csv(result: RobustnessResult, manifest: RunManifest) -> Iterator[str]:
     removed = itertools.chain([""], map(person_label, result.sequence))
-    rows = map("{},{},{}".format, itertools.count(), removed, result.curve.values)
+    rows = map("{},{},{}".format, itertools.count(), removed, result.curve)
     return _csv(manifest, "step,removed_person,tau", rows)
 
 
@@ -153,6 +153,8 @@ def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> Iterator[str]:
     return _csv(manifest, "step,temperature,objective", rows)
 
 
-def paired_decay_csv(paired: PairedDecay, manifest: RunManifest) -> Iterator[str]:
-    rows = (f"{step},{a},{b}" for step, a, b in paired.rows())
+def paired_decay_csv(
+    original: Sequence[int], optimized: Sequence[int], manifest: RunManifest
+) -> Iterator[str]:
+    rows = map("{},{},{}".format, itertools.count(), original, optimized)
     return _csv(manifest, "step,tau_original,tau_optimized", rows)

@@ -27,18 +27,10 @@ RemovalSequence = Sequence[PersonId]
 
 
 @dataclass(frozen=True)
-class DecayCurve:
-    """Task counts of the largest person-containing component after
-    0..n_people removals."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RobustnessResult:
     value: float
     sequence: tuple[PersonId, ...]
-    curve: DecayCurve
+    curve: tuple[int, ...]  # the largest component's task count after 0..n_people removals
 
 
 @dataclass(slots=True)
@@ -118,7 +110,7 @@ def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
     return state.area()
 
 
-def decay_curve(graph: FrozenGraph, order: RemovalSequence) -> DecayCurve:
+def decay_curve(graph: FrozenGraph, order: RemovalSequence) -> tuple[int, ...]:
     """Decay curve for a full removal order, by reverse simulation.
 
     People are inserted back in reverse order into the task-only graph by
@@ -128,7 +120,9 @@ def decay_curve(graph: FrozenGraph, order: RemovalSequence) -> DecayCurve:
     return _ordered_removal(graph, order)[0]
 
 
-def _ordered_removal(graph: FrozenGraph, order: RemovalSequence) -> tuple[DecayCurve, int]:
+def _ordered_removal(
+    graph: FrozenGraph, order: RemovalSequence
+) -> tuple[tuple[int, ...], int]:
     """:func:`_removal_curve` of the people of ``order`` in turn, which must
     list every person once."""
     order = list(order)
@@ -138,14 +132,14 @@ def _ordered_removal(graph: FrozenGraph, order: RemovalSequence) -> tuple[DecayC
     return _removal_curve(graph, [position[p] for p in order])
 
 
-def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[DecayCurve, int]:
+def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Decay curve of removing ``frozen.people[k]`` for each ``k`` of
     ``slots`` in turn, which must list every slot once, and its integer
     trapezoid area :meth:`InsertionState.area`."""
     adjacency = frozen.adjacency
     state = InsertionState.empty(len(frozen.tasks))
     maxima = insertion_maxima(state, [adjacency[k] for k in reversed(slots)])
-    return DecayCurve((*reversed(maxima), 0)), state.area()
+    return (*reversed(maxima), 0), state.area()
 
 
 def _normalization(n_people: int, n_tasks: int) -> int:

@@ -31,7 +31,6 @@ from busfactor.optimize import (
     TraceRow,
 )
 from busfactor.robustness import (
-    DecayCurve,
     _normalization,
     bus_factor_greedy,
     decay_curve,
@@ -350,7 +349,7 @@ def largest_task_component_size(graph) -> int:
     return best
 
 
-def decay_curve_naive(graph, order) -> DecayCurve:
+def decay_curve_naive(graph, order) -> tuple[int, ...]:
     """Reference decay curve by full recomputation after each removal."""
     graph = thawed(graph)
     order = list(order)
@@ -361,7 +360,7 @@ def decay_curve_naive(graph, order) -> DecayCurve:
     for p in order:
         current = remove_people(current, [p])
         values.append(largest_task_component_size(current))
-    return DecayCurve(tuple(values))
+    return tuple(values)
 
 
 def greedy_order_adaptive_reference(graph) -> list[int]:
@@ -387,7 +386,6 @@ def generate_powerlaw_reference(config: GeneratorConfig) -> SetGraph:
     person-to-tasks and task-to-people set maps. Each repair draws by
     ``rng.choice`` from the array of absent ids itself, where the library
     draws ranks into it."""
-    config.validate()
     rng = make_rng(config.seed)
     n_p, n_t = config.n_people, config.n_tasks
     deg_p = _sample_powerlaw_degrees(
@@ -579,7 +577,6 @@ def anneal_reference(
     pins the greedy removal order once and for all.
     """
     graph = thawed(graph)
-    config.validate()
     if graph.n_edges < 1:
         raise DegenerateError("annealing needs at least one edge")
     if graph.n_tasks < 2:
@@ -638,10 +635,9 @@ def anneal_reference(
     return best_graph, trace
 
 
-def trapezoid_area(curve: DecayCurve) -> int:
+def trapezoid_area(curve: tuple[int, ...]) -> int:
     """Twice the trapezoidal area under ``curve``, summed step by step."""
-    values = curve.values
-    return sum(values[i - 1] + values[i] for i in range(1, len(values)))
+    return sum(curve[i - 1] + curve[i] for i in range(1, len(curve)))
 
 
 def _draw_new_task(rng, graph: SetGraph, person: int, tasks: list[int]):
@@ -676,7 +672,6 @@ def null_sample_reference(
     distinct and neither crossed edge exists.
     """
     graph = thawed(graph)
-    config.validate()
     if graph.n_edges < 2:
         return SwapResult(graph=graph.copy(), attempts=0, swaps=0)
     rng = make_rng(config.seed, sample_index)
@@ -930,7 +925,7 @@ def run_sweep_reference(
     snapshots, truncated, notes = checkpoint_graphs_reference(
         graph, kind, total_steps, stride, seed
     )
-    table = SweepTable(kind=kind, delta=d, truncated=truncated, notes=notes)
+    table = SweepTable(truncated=truncated, notes=notes)
     for mods, g in snapshots:
         result = _measure(g, d)
         if result is None:

@@ -129,14 +129,14 @@ def test_generator_matches_reference(
 
 def test_generate_config_validation():
     with pytest.raises(ValueError):
-        GeneratorConfig(n_people=0, n_tasks=5).validate()
+        GeneratorConfig(n_people=0, n_tasks=5)
     with pytest.raises(ValueError):
-        GeneratorConfig(n_people=5, n_tasks=5, exponent_people=1.0).validate()
+        GeneratorConfig(n_people=5, n_tasks=5, exponent_people=1.0)
     for exponent in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
-            GeneratorConfig(n_people=5, n_tasks=5, exponent_people=exponent).validate()
+            GeneratorConfig(n_people=5, n_tasks=5, exponent_people=exponent)
         with pytest.raises(ValueError, match="finite"):
-            GeneratorConfig(n_people=5, n_tasks=5, exponent_tasks=exponent).validate()
+            GeneratorConfig(n_people=5, n_tasks=5, exponent_tasks=exponent)
     with pytest.raises(ValueError, match="infeasible"):
         generate_powerlaw(GeneratorConfig(n_people=3, n_tasks=5, min_degree=4))
 

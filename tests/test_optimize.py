@@ -25,10 +25,10 @@ from busfactor.optimize import (
     anneal,
     anneal_restarts,
     calibrate_pvalues,
-    compare_decay,
     null_sample,
     permutation_test,
 )
+from busfactor.reporting import RunManifest, paired_decay_csv
 from busfactor.robustness import bus_factor_greedy
 
 from conftest import (
@@ -340,7 +340,7 @@ def test_pools_capped_at_job_count(pool_sizes):
 )
 def test_annealing_config_rejects_non_finite_and_nonpositive(field, value):
     with pytest.raises(ValueError):
-        replace(SHORT_SA, **{field: value}).validate()
+        replace(SHORT_SA, **{field: value})
 
 
 def test_restarts_validate_before_pool(pool_sizes, k22):
@@ -588,23 +588,18 @@ def test_anneal_shortcuts_save_insertions():
 # -- paired decay ----------------------------------------------------------------
 
 
-def test_compare_decay_identity(four_edge_graph):
-    paired = compare_decay(four_edge_graph, four_edge_graph)
-    assert paired.original.values == paired.optimized.values
-    rows = list(paired.rows())
-    assert rows[0] == (0, 3, 3)
+def test_paired_decay_identity(four_edge_graph):
+    curve = bus_factor_greedy(four_edge_graph).curve
+    manifest = RunManifest("optimize", {}, 0, None, "0")
+    _, header, *rows = paired_decay_csv(curve, curve, manifest)
+    assert header == "step,tau_original,tau_optimized\n"
+    assert rows[0] == "0,3,3\n"
     assert len(rows) == four_edge_graph.n_people + 1
 
 
-def test_compare_decay_silo_improvement():
+def test_paired_decay_silo_improvement():
     silo = two_silo()
     optimized, _ = anneal(silo, SHORT_SA)
-    paired = compare_decay(silo, optimized)
-    pairs = list(zip(paired.original.values, paired.optimized.values))
+    pairs = list(zip(bus_factor_greedy(silo).curve, bus_factor_greedy(optimized).curve))
     at_least = sum(1 for a, b in pairs if b >= a)
     assert at_least / len(pairs) >= 0.8
-
-
-def test_compare_decay_shape_mismatch(four_edge_graph, k22):
-    with pytest.raises(ValueError, match="matching"):
-        compare_decay(four_edge_graph, k22)
