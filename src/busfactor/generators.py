@@ -29,7 +29,7 @@ from .graph import (
     degree_slots,
     require_nondegenerate,
 )
-from .robustness import _normalization, insertion_area
+from .robustness import insertion_area, normalization
 
 # numpy is imported inside the functions that use it, so that commands
 # that make no vectorised draws (analyze, decay, optimize, the edge and
@@ -442,6 +442,6 @@ def run_sweep(
         mrs = len(held) - len(greedy_keep(held, need))
         mcs = greedy_critical(held, order, task_degree, need)
         area = insertion_area(n_tasks, [held[k] for k in reversed(order)])
-        value = area / _normalization(len(held), n_tasks)
+        value = area / normalization(len(held), n_tasks)
         table.rows.append(SweepRow(mods, mrs, mcs, value))
     return table

@@ -48,13 +48,14 @@ class FrozenGraph(NamedTuple):
 
 
 class ProjectGraph:
-    """Checked builder of a simple bipartite graph between people and
+    """Checked constructor of a simple bipartite graph between people and
     tasks: duplicate edges are rejected rather than collapsed, isolated
-    nodes on either side are representable, and :meth:`freeze` gives the
-    view that analyses take.
+    nodes on either side are representable, and an edge declares either
+    endpoint not declared before it. :meth:`freeze` gives the view that
+    analyses take.
     """
 
-    __slots__ = ("_people", "_tasks")
+    __slots__ = ("_view",)
 
     def __init__(
         self,
@@ -62,55 +63,36 @@ class ProjectGraph:
         tasks: Iterable[TaskId] = (),
         edges: Iterable[tuple[PersonId, TaskId]] = (),
     ):
-        self._people: dict[PersonId, set[TaskId]] = {}
-        self._tasks: dict[TaskId, None] = {}  # the task ids, in insertion order
+        held: dict[PersonId, set[TaskId]] = {}
+        task_ids: dict[TaskId, None] = {}
+
+        def declare(ids: dict, kind: str, node: int, value) -> None:
+            if node < 0:
+                raise ValueError(f"{kind} id must be non-negative, got {node}")
+            if node in ids:
+                raise ValueError(f"{kind} {node} already exists")
+            ids[node] = value
+
         for p in people:
-            self.add_person(p)
+            declare(held, "person", p, set())
         for t in tasks:
-            self.add_task(t)
+            declare(task_ids, "task", t, None)
         for p, t in edges:
-            if p not in self._people:
-                self.add_person(p)
-            if t not in self._tasks:
-                self.add_task(t)
-            self.add_edge(p, t)
+            if p not in held:
+                declare(held, "person", p, set())
+            if t not in task_ids:
+                declare(task_ids, "task", t, None)
+            if t in held[p]:
+                raise ValueError(f"duplicate edge ({p}, {t})")
+            held[p].add(t)
+        self._view = freeze_maps(held, task_ids)
 
     def copy(self) -> ProjectGraph:
-        graph = ProjectGraph.__new__(ProjectGraph)
-        graph._people = {p: set(adj) for p, adj in self._people.items()}
-        graph._tasks = dict(self._tasks)
-        return graph
+        # immutable, so its own copy; kept as bench/tracing.py wraps it by name
+        return self
 
     def freeze(self) -> FrozenGraph:
-        """The dense view, built afresh on every call: the graph is
-        mutable, so a cached view could go stale."""
-        return freeze_maps(self._people, self._tasks)
-
-    # -- mutation ----------------------------------------------------------
-
-    def add_person(self, person: PersonId) -> None:
-        if person < 0:
-            raise ValueError(f"person id must be non-negative, got {person}")
-        if person in self._people:
-            raise ValueError(f"person {person} already exists")
-        self._people[person] = set()
-
-    def add_task(self, task: TaskId) -> None:
-        if task < 0:
-            raise ValueError(f"task id must be non-negative, got {task}")
-        if task in self._tasks:
-            raise ValueError(f"task {task} already exists")
-        self._tasks[task] = None
-
-    def add_edge(self, person: PersonId, task: TaskId) -> None:
-        own = self._people.get(person)
-        if own is None:
-            raise ValueError(f"unknown person {person}")
-        if task not in self._tasks:
-            raise ValueError(f"unknown task {task}")
-        if task in own:
-            raise ValueError(f"duplicate edge ({person}, {task})")
-        own.add(task)
+        return self._view
 
 
 def degree_slots(held: Sequence[Sized]) -> list[int]:

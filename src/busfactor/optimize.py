@@ -33,11 +33,17 @@ from .robustness import (
     bus_factor_greedy,
     insertion_area,
     insertion_maxima,
-    _normalization,
+    normalization,
 )
 
 _DRAW_PAIRS = 1 << 10  # swap attempts per draw chunk; bounds null_sample's memory
 _SEGMENTS = 4  # saved kernel states per annealing chain
+
+
+def _at_least_one(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,9 @@ class NullModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if self.swaps_per_edge < 1:
-            raise ValueError("swaps_per_edge must be at least 1")
+        _at_least_one(n_samples=self.n_samples, swaps_per_edge=self.swaps_per_edge)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def _null_objectives(
     require_nondegenerate(graph)
     reinsertion = degree_slots(graph.adjacency)[::-1]
     n_tasks = graph.n_tasks
-    denom = _normalization(graph.n_people, n_tasks)
+    denom = normalization(graph.n_people, n_tasks)
     values = []
     for i in range(start, stop):
         held = null_sample(graph, config, i).held
@@ -200,6 +205,7 @@ def permutation_test(
     Worker payloads are chunked so the base graph's view crosses process
     boundaries once per chunk; results do not depend on the worker count.
     """
+    _at_least_one(workers=workers)
     observed = bus_factor_greedy(graph).value
     n = config.n_samples
     chunk = max(1, math.ceil(n / (workers * 8)))
@@ -218,8 +224,7 @@ def calibrate_pvalues(
     ``j(n+1) .. (j+1)(n+1) - 1``, so trials are independent; the block's
     first sample is the observation and the other ``n`` its nulls.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _at_least_one(trials=trials, workers=workers)
     block = config.n_samples + 1
     jobs = ((graph, config, j * block, (j + 1) * block) for j in range(trials))
     blocks = _map_jobs(_null_objectives, jobs, workers)
@@ -246,8 +251,9 @@ class AnnealingConfig:
             raise ValueError("temperatures must be positive and finite")
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling_rate must be in (0, 1)")
-        if self.steps_per_temperature < 1:
-            raise ValueError("steps_per_temperature must be at least 1")
+        _at_least_one(steps_per_temperature=self.steps_per_temperature)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 class TraceRow(NamedTuple):
@@ -317,7 +323,7 @@ def anneal(
     saved = [state.copy(), *_insert_from(state, held, 0, starts[1:])[0]]  # one per start
 
     rng = ScalarDraws(config.seed)
-    denom = _normalization(len(people), n_tasks)
+    denom = normalization(len(people), n_tasks)
     current_area = best_area = state.area()
     objective = best_area / denom  # every row shares it until the next best
     best_edges = list(edges)
@@ -449,8 +455,7 @@ def anneal_restarts(
     """The best of ``restarts`` independent :func:`anneal` chains, seeded
     ``config.seed + r``: the highest greedy robustness wins, ties to the
     smallest seed. The result does not depend on ``workers``."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    _at_least_one(restarts=restarts, workers=workers)
     jobs = ((graph, replace(config, seed=config.seed + r)) for r in range(restarts))
     # max keeps a running best over the lazy results, the first of ties,
     # so one finished chain is held besides the best, however many run

@@ -142,7 +142,8 @@ def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[tuple[int
     return (*reversed(maxima), 0), state.area()
 
 
-def _normalization(n_people: int, n_tasks: int) -> int:
+def normalization(n_people: int, n_tasks: int) -> int:
+    """The complete graph's unhalved decay area, which scales an area into [0, 1]."""
     return n_tasks * (2 * n_people - 1)
 
 
@@ -156,7 +157,7 @@ def robustness(graph: FrozenGraph, order: RemovalSequence) -> float:
     """
     require_nondegenerate(graph)
     _, area = _ordered_removal(graph, order)
-    return area / _normalization(graph.n_people, graph.n_tasks)
+    return area / normalization(graph.n_people, graph.n_tasks)
 
 
 def greedy_order(graph: FrozenGraph) -> list[PersonId]:
@@ -181,7 +182,7 @@ def _result(frozen: FrozenGraph, slots: Sequence[int]) -> RobustnessResult:
     """The normalized score, sequence and curve of removing ``slots``."""
     curve, area = _removal_curve(frozen, slots)
     return RobustnessResult(
-        value=area / _normalization(frozen.n_people, frozen.n_tasks),
+        value=area / normalization(frozen.n_people, frozen.n_tasks),
         sequence=tuple(frozen.people[k] for k in slots),
         curve=curve,
     )

@@ -31,10 +31,10 @@ from busfactor.optimize import (
     TraceRow,
 )
 from busfactor.robustness import (
-    _normalization,
     bus_factor_greedy,
     decay_curve,
     greedy_order,
+    normalization,
 )
 
 
@@ -587,7 +587,7 @@ def anneal_reference(
     rng = make_rng(config.seed)
     working = graph.copy()
     order = greedy_order(working.freeze())  # person degrees never change below
-    denom = _normalization(working.n_people, working.n_tasks)
+    denom = normalization(working.n_people, working.n_tasks)
 
     def objective_area(g: SetGraph) -> int:
         return trapezoid_area(decay_curve(g.freeze(), order))

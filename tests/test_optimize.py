@@ -311,6 +311,37 @@ def test_calibration_validates_config_before_pool(pool_sizes, k22):
     assert pool_sizes == []
 
 
+def test_negative_seeds_rejected_before_pool(pool_sizes, k22):
+    # the configs reject the seed themselves; the workers' draws would too,
+    # but only after a pool had opened
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        permutation_test(k22, NullModelConfig(n_samples=4, seed=-1), workers=2)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        anneal_restarts(k22, replace(SHORT_SA, seed=-1), restarts=2, workers=2)
+    assert pool_sizes == []
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+_POOLED = {
+    "permutation_test": lambda g, w: permutation_test(g, NullModelConfig(n_samples=4), w),
+    "calibrate_pvalues": lambda g, w: calibrate_pvalues(g, NullModelConfig(n_samples=4), 2, w),
+    "anneal_restarts": lambda g, w: anneal_restarts(g, SHORT_SA, 2, w),
+}
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("name", sorted(_POOLED))
+def test_worker_counts_below_one_rejected(pool_sizes, monkeypatch, k22, name, workers):
+    for step in ("bus_factor_greedy", "null_sample", "anneal"):
+        monkeypatch.setattr(optimize, step, _no_work)
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        _POOLED[name](k22, workers)
+    assert pool_sizes == []
+
+
 def test_pools_capped_at_job_count(pool_sizes):
     g = generate_powerlaw(GeneratorConfig(n_people=10, n_tasks=12, seed=2))
     cfg = NullModelConfig(n_samples=3, seed=1)
