@@ -16,6 +16,7 @@ import dataclasses
 import inspect
 import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -388,6 +389,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No command calls BLAS, so numpy's idle thread pool is pure start-up
+    # cost; a value the user sets wins, and pool workers inherit it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

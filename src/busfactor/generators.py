@@ -31,9 +31,9 @@ from .graph import (
 )
 from .robustness import insertion_area, normalization
 
-# numpy is imported inside the functions that use it, so that commands
-# that make no vectorised draws (analyze, decay, optimize, the edge and
-# duplicate sweeps) never load it.
+# numpy is imported inside the functions that use it, so that only the
+# commands that make vectorised draws (generate and nulltest) load it;
+# every sweep and optimize draw from ScalarDraws instead.
 
 SWEEP_KINDS = ("densify", "sparsify", "singletons", "duplicates")
 
@@ -41,10 +41,11 @@ SWEEP_KINDS = ("densify", "sparsify", "singletons", "duplicates")
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream...) with a stable mapping:
     numpy's PCG64 seeded by ``SeedSequence([seed, *stream])``. The
-    vectorised draws use it; the scalar ones use :class:`ScalarDraws`,
-    which yields the same stream without numpy
-    (``tests/test_generators.py::test_scalar_draws_match_make_rng`` checks
-    this against the installed numpy)."""
+    vectorised draws use it; the scalar ones and the singletons sweep's
+    ``choice`` use :class:`ScalarDraws`, which yields the same stream
+    without numpy (``tests/test_generators.py::test_scalar_draws_match_make_rng``
+    and ``test_scalar_choice_matches_make_rng`` check this against the
+    installed numpy)."""
     import numpy as np
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -77,8 +78,10 @@ def _mix(x: int, y: int) -> int:
 
 class ScalarDraws:
     """The draws of ``make_rng(seed, *stream)``, one at a time, in pure
-    Python: ``below(n)`` is ``int(rng.integers(n))`` and ``random()`` is
-    ``rng.random()``, interleaved in any order.
+    Python: ``below(n)`` is ``int(rng.integers(n))``, ``random()`` is
+    ``rng.random()`` and ``choice(n, k)`` is
+    ``rng.choice(n, size=k, replace=False).tolist()``, interleaved in any
+    order.
 
     The state is rebuilt as numpy builds it: ``SeedSequence`` hashes the
     32-bit words of ``seed`` and each ``stream`` value into a pool of four,
@@ -87,8 +90,10 @@ class ScalarDraws:
     ``2**32`` are Lemire's method (Lemire 2019) on the outputs' 32-bit
     halves, low half first, with the high half kept for the next such
     draw; larger bounds take whole outputs. ``random()`` takes a whole
-    output and leaves a kept half alone. Equality with the installed numpy
-    is checked by ``tests/test_generators.py::test_scalar_draws_match_make_rng``.
+    output and leaves a kept half alone. ``choice`` makes its bounded
+    draws as ``below`` does. Equality with the installed numpy is checked
+    by ``tests/test_generators.py::test_scalar_draws_match_make_rng`` and
+    ``test_scalar_choice_matches_make_rng``.
     """
 
     def __init__(self, seed: int, *stream: int):
@@ -153,6 +158,32 @@ class ScalarDraws:
     def random(self) -> float:
         """A uniform float in ``[0, 1)``, as ``rng.random()``."""
         return (self._next64() >> 11) * 2.0**-53
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """``k`` distinct ids of ``0 .. n - 1``, as
+        ``rng.choice(n, size=k, replace=False).tolist()``: Floyd's draw then
+        a Fisher-Yates shuffle of the picks, or, when ``n > 10000`` and
+        ``k > n // 50``, the last ``k`` slots of a tail Fisher-Yates
+        shuffle of ``range(n)``, kept sparse as the slots it moved."""
+        if n < 0 or not 0 <= k <= n:
+            raise ValueError(f"cannot take {k} distinct ids of {n}")
+        if n > 10000 and k > n // 50:
+            moved = {}
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = self.below(i + 1)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(i, i) for i in range(n - k, n)]
+        picks, seen = [], set()
+        for j in range(n - k, n):
+            pick = self.below(j + 1)
+            if pick in seen:
+                pick = j  # no earlier draw can be j
+            seen.add(pick)
+            picks.append(pick)
+        for i in range(k - 1, 0, -1):
+            j = self.below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 @dataclass(frozen=True)
@@ -358,8 +389,8 @@ def _perturbation(
         modifications = _edge_removals(held, task_degree, ScalarDraws(seed))
         available = graph.n_edges
     elif kind == "singletons":
-        picks = make_rng(seed).choice(graph.n_tasks, size=total_steps, replace=False)
-        modifications = (_add_person(held, task_degree, (t,)) for t in picks.tolist())
+        picks = ScalarDraws(seed).choice(graph.n_tasks, total_steps)
+        modifications = (_add_person(held, task_degree, (t,)) for t in picks)
     else:
         order = degree_slots(held)
         if total_steps > len(order):

@@ -110,12 +110,22 @@ def write_text(path: str | Path, text: str | Iterable[str]) -> None:
 # -- CSV ---------------------------------------------------------------------
 
 
+def _lines(data: str) -> Iterator[str]:
+    """The items of ``data.split("\n")``, split a block of about 8,192
+    characters at a time, so that no list of every line is held."""
+    start = 0
+    while (end := data.find("\n", start + 8192)) >= 0:
+        yield from data[start:end].split("\n")
+        start = end + 1
+    yield from data[start:].split("\n")
+
+
 def _parse_csv(data: str) -> FrozenGraph:
     people: dict[int, set[int]] = {}  # each person's task ids
     person_ids: dict[str, int] = {}  # see _declare
     task_ids: dict[str, int] = {}
     header_seen = False
-    for lineno, raw in enumerate(data.split("\n"), start=1):
+    for lineno, raw in enumerate(_lines(data), start=1):
         line = raw.rstrip("\r")
         if not line or line.startswith("#"):
             continue

@@ -238,3 +238,15 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_only_the_cli_entry_point_touches_the_environment():
+    # the library reads and sets no environment variable; cli.main alone
+    # sets OPENBLAS_NUM_THREADS, for its own process and its pool workers
+    touching = [
+        (path.name, getattr(top, "name", "<module>"))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if "environ" in ast.unparse(top)
+    ]
+    assert touching == [("cli.py", "main")]

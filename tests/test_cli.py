@@ -720,8 +720,9 @@ def costly_modules_loaded(tmp_path, *argv) -> set[str]:
         (
             ["sweep", "--input", "fixture.csv", "--kind", "singletons", "--steps", 2,
              "--output", "s.csv"],
-            {"numpy"},
+            set(),  # ScalarDraws.choice draws the hires
         ),
+        (["generate", "--people", 30, "--tasks", 40, "--output", "g.csv"], {"numpy"}),
     ],
 )
 def test_commands_load_numpy_and_the_pool_only_when_used(
@@ -729,3 +730,44 @@ def test_commands_load_numpy_and_the_pool_only_when_used(
 ):
     # fixture_path is tmp_path / "fixture.csv", the probe's working directory
     assert costly_modules_loaded(tmp_path, *argv) == loaded
+
+
+# Runs ``main(argv)`` in a fresh interpreter whose environment does not set
+# OPENBLAS_NUM_THREADS and prints how many threads the process then has.
+_THREAD_PROBE = """
+import os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+from busfactor.cli import main
+assert main(sys.argv[1:]) == 0
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--people", 30, "--tasks", 40, "--output", "g.csv"],
+        ["nulltest", "--input", "fixture.csv", "--samples", 4, "--workers", 1,
+         "--output", "n.json"],
+    ],
+)
+def test_numpy_commands_run_on_one_thread(tmp_path, fixture_path, argv):
+    # OpenBLAS would otherwise start a thread per core when numpy loads
+    result = checkout_python(tmp_path, "-c", _THREAD_PROBE, *argv, check=True)
+    assert result.stdout.split() == ["1"]
+
+
+def test_main_asks_blas_for_one_thread_unless_told(monkeypatch, fixture_path, tmp_path):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run("decay", "--input", fixture_path, "--output", tmp_path / "d.csv") == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run("decay", "--input", fixture_path, "--output", tmp_path / "d.csv") == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_importing_the_cli_leaves_the_environment_alone(tmp_path):
+    probe = "import os; before = dict(os.environ); import busfactor.cli; " \
+            "print(dict(os.environ) == before)"
+    assert checkout_python(tmp_path, "-c", probe, check=True).stdout.split() == ["True"]

@@ -68,6 +68,42 @@ def test_scalar_draws_match_make_rng(seed, stream, draws):
     assert [ours.below(309) for _ in range(5)] == numpy_rng.integers(309, size=5).tolist()
 
 
+# Shapes (n, k) at both of numpy's branches and their edges: Floyd's draw up
+# to n = 10,000 or k = n // 50, the tail shuffle above both; k = 0, k = n,
+# n = 1, and a population above 2**32, whose draws take whole outputs.
+CHOICE_SHAPES = [
+    (1, 0), (1, 1), (0, 0), (2, 1), (7, 7), (1000, 500),
+    (10000, 200), (10000, 201), (10000, 10000),
+    (10001, 200), (10001, 201), (10001, 0), (10001, 10001),
+    (30000, 600), (30000, 601), (2**32 + 5, 3),
+]
+
+
+def _choice_agrees(seed, stream, n, k):
+    ours, numpy_rng = ScalarDraws(seed, *stream), make_rng(seed, *stream)
+    assert ours.below(7) == int(numpy_rng.integers(7))  # a kept half going in
+    assert ours.choice(n, k) == numpy_rng.choice(n, size=k, replace=False).tolist()
+    # the stream goes on from the same place
+    assert ours.below(309) == int(numpy_rng.integers(309))
+    assert ours.random() == numpy_rng.random()
+    assert ours.below(2**31 + 1) == int(numpy_rng.integers(2**31 + 1))
+
+
+@pytest.mark.parametrize("n,k", CHOICE_SHAPES)
+def test_scalar_choice_matches_make_rng(n, k):
+    for seed in range(40):
+        _choice_agrees(seed, (seed % 3,), n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 30000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+)
+def test_scalar_choice_matches_make_rng_anywhere(seed, shape):
+    _choice_agrees(seed, (), *shape)
+
+
 def test_scalar_draws_refuse_what_numpy_refuses():
     draws = ScalarDraws(0)
     for n in (0, -3, 2**63 + 1):
@@ -75,6 +111,11 @@ def test_scalar_draws_refuse_what_numpy_refuses():
             draws.below(n)
         with pytest.raises(ValueError):
             make_rng(0).integers(n)
+    for n, k in ((3, 4), (0, 1), (5, -1)):
+        with pytest.raises(ValueError):
+            draws.choice(n, k)
+        with pytest.raises(ValueError):
+            make_rng(0).choice(n, size=k, replace=False)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         ScalarDraws(-1)
     with pytest.raises(ValueError):

@@ -269,6 +269,16 @@ def test_csv_parser_matches_the_row_by_row_reference(text):
     assert _parsed(parse_edge_list, text, "csv") == _parsed(_reference, text, "csv")
 
 
+@settings(max_examples=100, deadline=None)
+@given(csv_texts(), st.integers(880, 920), st.booleans())
+def test_csv_parser_matches_the_reference_across_blocks(text, comments, lone_cr):
+    # the parser splits its text about 8,192 characters at a time: a prefix
+    # of 7,920 to 8,280 characters moves that cut through the drawn rows,
+    # and a lone carriage return, which ends no line, joins two of them
+    text = "#comment\n" * comments + (text.replace("\n", "\r", 1) if lone_cr else text)
+    assert _parsed(parse_edge_list, text, "csv") == _parsed(_reference, text, "csv")
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_texts())
 def test_json_parser_matches_the_row_by_row_reference(text):
