@@ -1,77 +1,30 @@
-"""Bus factor analysis of person-task bipartite graphs."""
+"""Bus factor analysis of person-task bipartite graphs.
 
-from .coverage import (
-    CoverageReport,
-    coverage_report,
-    mcs_exact,
-    mcs_greedy,
-    mrs_exact,
-    mrs_greedy,
-    normalize_delta,
-)
-from .errors import BusFactorError, DegenerateError, InfeasibleError, ParseError
-from .generators import (
-    GeneratorConfig,
-    SweepTable,
-    disjoint_union,
-    generate_powerlaw,
-    run_sweep,
-)
-from .graph import ProjectGraph
-from .io import load_edge_list, parse_edge_list, render_edge_list, save_edge_list
-from .optimize import (
-    AnnealingConfig,
-    NullModelConfig,
-    PermutationTestResult,
-    anneal,
-    anneal_restarts,
-    calibrate_pvalues,
-    null_sample,
-    permutation_test,
-)
-from .robustness import (
-    RobustnessResult,
-    bus_factor_exact,
-    bus_factor_greedy,
-    decay_curve,
-    robustness,
-)
+``import busfactor`` loads no submodule: each public name is read from its
+module on every access, so no second binding here can go stale.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnealingConfig",
-    "BusFactorError",
-    "CoverageReport",
-    "DegenerateError",
-    "GeneratorConfig",
-    "InfeasibleError",
-    "NullModelConfig",
-    "ParseError",
-    "PermutationTestResult",
-    "ProjectGraph",
-    "RobustnessResult",
-    "SweepTable",
-    "anneal",
-    "anneal_restarts",
-    "bus_factor_exact",
-    "bus_factor_greedy",
-    "calibrate_pvalues",
-    "coverage_report",
-    "decay_curve",
-    "disjoint_union",
-    "generate_powerlaw",
-    "load_edge_list",
-    "mcs_exact",
-    "mcs_greedy",
-    "mrs_exact",
-    "mrs_greedy",
-    "normalize_delta",
-    "null_sample",
-    "parse_edge_list",
-    "permutation_test",
-    "render_edge_list",
-    "robustness",
-    "run_sweep",
-    "save_edge_list",
-]
+_PUBLIC = {  # module -> the public names it defines
+    "coverage": ("CoverageReport", "coverage_report", "mcs_exact", "mcs_greedy", "mrs_exact",
+                 "mrs_greedy", "normalize_delta"),
+    "errors": ("BusFactorError", "DegenerateError", "InfeasibleError", "ParseError"),
+    "generators": ("GeneratorConfig", "SweepTable", "disjoint_union", "generate_powerlaw",
+                   "run_sweep"),
+    "graph": ("ProjectGraph",),
+    "io": ("load_edge_list", "parse_edge_list", "render_edge_list", "save_edge_list"),
+    "optimize": ("AnnealingConfig", "NullModelConfig", "PermutationTestResult", "anneal",
+                 "anneal_restarts", "calibrate_pvalues", "null_sample", "permutation_test"),
+    "robustness": ("RobustnessResult", "bus_factor_exact", "bus_factor_greedy", "decay_curve"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

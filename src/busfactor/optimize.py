@@ -444,11 +444,6 @@ def _joins_same_components(
     return rt in others and rn in others
 
 
-def _restart(graph: FrozenGraph, config: AnnealingConfig):
-    best, trace = anneal(graph, config)
-    return bus_factor_greedy(best).value, best, trace
-
-
 def anneal_restarts(
     graph: FrozenGraph, config: AnnealingConfig, restarts: int, workers: int = 1
 ) -> tuple[FrozenGraph, AnnealingTrace]:
@@ -457,8 +452,13 @@ def anneal_restarts(
     smallest seed. The result does not depend on ``workers``."""
     _at_least_one(restarts=restarts, workers=workers)
     jobs = ((graph, replace(config, seed=config.seed + r)) for r in range(restarts))
+
+    def score(chain: tuple[FrozenGraph, AnnealingTrace]) -> float:
+        # the last row's best objective is the returned graph's greedy
+        # robustness, bit for bit; a chain that accepted no step is rescored
+        best, trace = chain
+        return trace.rows[-1].objective if trace.rows else bus_factor_greedy(best).value
+
     # max keeps a running best over the lazy results, the first of ties,
     # so one finished chain is held besides the best, however many run
-    results = _map_jobs(_restart, jobs, workers)
-    _, best, trace = max(results, key=lambda result: result[0])
-    return best, trace
+    return max(_map_jobs(anneal, jobs, workers), key=score)

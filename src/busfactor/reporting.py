@@ -15,11 +15,14 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .generators import SweepTable
 from .io import person_label
-from .optimize import AnnealingTrace
-from .robustness import RobustnessResult
+
+if TYPE_CHECKING:  # read only in annotations
+    from .generators import SweepTable
+    from .optimize import AnnealingTrace
+    from .robustness import RobustnessResult
 
 
 def fmt_float(value: float) -> str:

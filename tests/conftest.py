@@ -2,15 +2,20 @@ import heapq
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import busfactor
 from busfactor.coverage import _coverage_target, normalize_delta
 from busfactor.errors import DegenerateError, InfeasibleError, ParseError
 from busfactor.generators import (
@@ -249,6 +254,21 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def checkout_python(cwd, *argv, **run_options) -> subprocess.CompletedProcess:
+    """``python argv...`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(busfactor.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        **run_options,
+    )
 
 
 # -- brute-force oracles, kept independent of the library's algorithms --------

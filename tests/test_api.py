@@ -3,13 +3,19 @@ import contextlib
 import importlib
 import io
 import re
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import busfactor
 from busfactor import AnnealingConfig, anneal, anneal_restarts, render_edge_list
 from busfactor.generators import GeneratorConfig, disjoint_union, generate_powerlaw
 from busfactor.graph import FrozenGraph, ProjectGraph
 from busfactor.io import load_edge_list, parse_edge_list, save_edge_list
+
+from conftest import checkout_python
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -54,6 +60,48 @@ def test_public_api():
         assert callable(getattr(ProjectGraph, method)), method
 
 
+def test_public_names_resolve_to_their_defining_module(monkeypatch):
+    # the package re-exports without hiding: each name is the object its
+    # module defines, read from that module on every access
+    for name in busfactor.__all__:
+        value = getattr(busfactor, name)
+        module = value.__module__
+        assert module.startswith("busfactor."), (name, module)
+        assert getattr(sys.modules[module], name) is value, name
+    import busfactor.robustness as robustness
+
+    assert isinstance(robustness, types.ModuleType)
+    assert callable(robustness.greedy_order)
+    # nothing is cached in the package: a rebinding on the module shows
+    # through it, as the benchmark's tracer relies on
+    monkeypatch.setattr(robustness, "decay_curve", len)
+    assert busfactor.decay_curve is len
+
+
+# Imports the module named by its argument in a fresh interpreter and
+# prints the package modules then loaded.
+_PACKAGE_PROBE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "busfactor"))
+"""
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("busfactor", ""),
+        ("busfactor.robustness", "errors graph robustness"),
+        ("busfactor.reporting", "errors graph io reporting"),
+    ],
+)
+def test_modules_load_only_what_they_run(tmp_path, module, loaded):
+    # the package loads a module when one of its names is first read, and
+    # reporting imports the result types only for its annotations
+    result = checkout_python(tmp_path, "-c", _PACKAGE_PROBE, module, check=True)
+    assert result.stdout.split() == ["busfactor", *(f"busfactor.{m}" for m in loaded.split())]
+
+
 def test_public_names_are_pinned():
     # a change to the public surface must be an explicit edit here
     assert busfactor.__all__ == [
@@ -88,7 +136,6 @@ def test_public_names_are_pinned():
         "parse_edge_list",
         "permutation_test",
         "render_edge_list",
-        "robustness",
         "run_sweep",
         "save_edge_list",
     ]
@@ -195,8 +242,6 @@ def test_no_module_imports_a_name_it_never_reads():
     # an import that nothing reads is dead code, and hides what a module uses
     unread = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports the public names
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {
             alias.asname or alias.name.split(".")[0]
@@ -222,6 +267,17 @@ def test_no_function_imports_a_package_module():
         if isinstance(node, ast.ImportFrom) and node.level > 0
     ]
     assert lazy == []
+    # a module imported by name hides the same edge of the import graph;
+    # only the package's __getattr__ does so, to resolve the public names
+    by_name = [
+        (path.name, getattr(top, "name", "<module>"))
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("import_module", "__import__")
+    ]
+    assert by_name == [("__init__.py", "__getattr__")]
 
 
 def test_no_module_imports_a_private_name_from_another():

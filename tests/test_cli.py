@@ -3,9 +3,7 @@ import gc
 import hashlib
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,7 @@ from busfactor.generators import SWEEP_KINDS, disjoint_union, generate_powerlaw
 from busfactor.graph import ProjectGraph
 from busfactor.io import load_edge_list, save_edge_list
 
-from conftest import degree_maps, traced_peak
+from conftest import checkout_python, degree_maps, traced_peak
 
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
@@ -658,21 +656,6 @@ else:
     import busfactor
 print(",".join(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
 """
-
-
-def checkout_python(cwd, *argv, **run_options) -> subprocess.CompletedProcess:
-    """``python argv...`` in a fresh interpreter that imports this
-    checkout's package."""
-    src = str(Path(busfactor.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *map(str, argv)],
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        **run_options,
-    )
 
 
 def costly_modules_loaded(tmp_path, *argv) -> set[str]:

@@ -21,6 +21,7 @@ from busfactor.generators import (
 from busfactor.graph import ProjectGraph
 from busfactor.optimize import (
     AnnealingConfig,
+    AnnealingTrace,
     NullModelConfig,
     anneal,
     anneal_restarts,
@@ -401,6 +402,25 @@ def test_restarts_keep_the_best_chain_and_the_earliest_tie():
         best, trace = anneal_restarts(g, config, restarts=5, workers=workers)
         assert best == first[0]
         assert trace.rows == first[1].rows
+
+
+def test_restarts_rank_chains_by_their_last_trace_row(k22):
+    # the last row's best objective is the returned graph's greedy
+    # robustness, bit for bit, so anneal_restarts ranks chains without
+    # rescoring them; only a chain with no accepted step is scored afresh
+    graphs = two_silo(), generate_powerlaw(GeneratorConfig(n_people=30, n_tasks=40, seed=9))
+    for g in graphs:
+        for steps in (1, 10, 200):
+            config = replace(SHORT_SA, steps_per_temperature=steps)
+            chains = [anneal(g, replace(config, seed=9 + r)) for r in range(3)]
+            for best, trace in chains:
+                assert trace.rows[-1].objective == bus_factor_greedy(best).value
+            expected = max(chains, key=lambda chain: bus_factor_greedy(chain[0]).value)
+            best, trace = anneal_restarts(g, replace(config, seed=9), restarts=3)
+            assert best == expected[0]
+            assert trace.rows == expected[1].rows
+    # the rigid k22 returns from anneal before any step
+    assert anneal_restarts(k22, SHORT_SA, restarts=3) == (k22, AnnealingTrace())
 
 
 def test_restarts_hold_the_best_chain_and_one_more():
