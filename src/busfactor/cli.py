@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import __version__
 from .coverage import coverage_report, normalize_delta
@@ -243,23 +244,11 @@ def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
     return params
 
 
-def _require(params: dict, *names: str) -> None:
-    for name in names:
-        if params.get(name) is None:
-            raise ParseError(f"missing required flag --{name.replace('_', '-')}")
-
-
 def _call(fn, params: dict, *args, **renames: str):
     """``fn(*args, ...)`` with each later parameter of ``fn`` taking the flag
     of the same name, or of its name in ``renames``."""
     names = list(inspect.signature(fn).parameters)[len(args):]
     return fn(*args, **{name: params[renames.get(name, name)] for name in names})
-
-
-def _load_graph(params: dict) -> tuple[FrozenGraph, str]:
-    _require(params, "input")
-    path = params["input"]
-    return load_edge_list(path, params.get("format")), digest_file(path)
 
 
 def _manifest(command: str, params: dict, input_digest: str | None) -> RunManifest:
@@ -276,18 +265,27 @@ def _manifest(command: str, params: dict, input_digest: str | None) -> RunManife
     )
 
 
+def _graph_pieces(
+    graph: FrozenGraph, path: str, fmt: str | None, manifest: RunManifest
+) -> Iterator[str]:
+    """The graph file at ``path``, its manifest embedded, as it is rendered."""
+    if file_format(path, fmt) == "csv":
+        return itertools.chain([manifest.comment_line() + "\n"], csv_pieces(graph))
+    return json_pieces(graph, canonical_json(manifest.to_dict()))
+
+
 # -- command handlers ---------------------------------------------------------
+# Each takes the flags, the --input graph (None for `generate`) and the
+# manifest, and returns each artifact's path with its text or its pieces,
+# in the order `main` writes them.
+
+Artifacts = dict[str, str | Iterable[str]]
 
 
-def _cmd_analyze(params: dict) -> int:
-    graph, digest = _load_graph(params)
-    _require(params, "output")
+def _cmd_analyze(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
     decay_path = params["decay_output"] or f"{params['output']}.decay.csv"
-    manifest = _manifest("analyze", params, digest)
-
     report = coverage_report(graph, params["delta"])
     result = bus_factor_greedy(graph)
-    write_text(decay_path, decay_csv(result, manifest))
     payload = {
         "manifest": manifest.to_dict(),
         **report.to_dict(),
@@ -296,43 +294,25 @@ def _cmd_analyze(params: dict) -> int:
         "curve": list(result.curve),
         "decay_curve": str(decay_path),
     }
-    write_text(params["output"], canonical_json(payload))
-    return 0
+    return {
+        decay_path: decay_csv(result, manifest),
+        params["output"]: canonical_json(payload),
+    }
 
 
-def _cmd_generate(params: dict) -> int:
-    _require(params, "output")
+def _cmd_generate(params: dict, graph: None, manifest: RunManifest) -> Artifacts:
     config = _call(GeneratorConfig, params, n_people="people", n_tasks="tasks")
-    graph = generate_powerlaw(config)
-    manifest = _manifest("generate", params, None)
-    _write_graph(graph, params["output"], params.get("format"), manifest)
-    return 0
+    path = params["output"]
+    return {path: _graph_pieces(generate_powerlaw(config), path, params["format"], manifest)}
 
 
-def _write_graph(
-    graph: FrozenGraph, path: str, fmt: str | None, manifest: RunManifest
-) -> None:
-    if file_format(path, fmt) == "csv":
-        pieces = itertools.chain([manifest.comment_line() + "\n"], csv_pieces(graph))
-    else:
-        pieces = json_pieces(graph, canonical_json(manifest.to_dict()))
-    write_text(path, pieces)
-
-
-def _cmd_sweep(params: dict) -> int:
-    graph, digest = _load_graph(params)
-    _require(params, "output", "kind")
+def _cmd_sweep(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
     table = _call(run_sweep, params, graph, total_steps="steps")
-    manifest = _manifest("sweep", params, digest)
-    write_text(params["output"], sweep_csv(table, manifest))
-    return 0
+    return {params["output"]: sweep_csv(table, manifest)}
 
 
-def _cmd_nulltest(params: dict) -> int:
-    graph, digest = _load_graph(params)
-    _require(params, "output")
+def _cmd_nulltest(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
     config = _call(NullModelConfig, params, n_samples="samples")
-    manifest = _manifest("nulltest", params, digest)
     if params["calibrate"] is not None:
         pvalues = calibrate_pvalues(
             graph, config, trials=params["calibrate"], workers=params["workers"]
@@ -349,33 +329,26 @@ def _cmd_nulltest(params: dict) -> int:
             "manifest": manifest.to_dict(),
             **result.to_dict(include_null_values=bool(params["include_null_values"])),
         }
-    write_text(params["output"], canonical_json(payload))
-    return 0
+    return {params["output"]: canonical_json(payload)}
 
 
-def _cmd_optimize(params: dict) -> int:
-    graph, digest = _load_graph(params)
-    _require(params, "output_prefix")
+def _cmd_optimize(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
     best_graph, best_trace = anneal_restarts(
         graph, _call(AnnealingConfig, params), params["restarts"], params["workers"]
     )
-    manifest = _manifest("optimize", params, digest)
     prefix = params["output_prefix"]
-    fmt = params.get("format") or "csv"
-    _write_graph(best_graph, f"{prefix}.graph.{fmt}", fmt, manifest)
-    write_text(f"{prefix}.trace.csv", trace_csv(best_trace, manifest))
+    fmt = params["format"] or "csv"
     curves = bus_factor_greedy(graph).curve, bus_factor_greedy(best_graph).curve
-    write_text(f"{prefix}.decay.csv", paired_decay_csv(*curves, manifest))
-    return 0
+    graph_path = f"{prefix}.graph.{fmt}"
+    return {
+        graph_path: _graph_pieces(best_graph, graph_path, fmt, manifest),
+        f"{prefix}.trace.csv": trace_csv(best_trace, manifest),
+        f"{prefix}.decay.csv": paired_decay_csv(*curves, manifest),
+    }
 
 
-def _cmd_decay(params: dict) -> int:
-    graph, digest = _load_graph(params)
-    _require(params, "output")
-    result = bus_factor_greedy(graph)
-    manifest = _manifest("decay", params, digest)
-    write_text(params["output"], decay_csv(result, manifest))
-    return 0
+def _cmd_decay(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
+    return {params["output"]: decay_csv(bus_factor_greedy(graph), manifest)}
 
 
 _HANDLERS = {
@@ -387,6 +360,10 @@ _HANDLERS = {
     "decay": _cmd_decay,
 }
 
+# The flags a command needs and has no default for, checked in this order
+# before any input is read.
+_REQUIRED = ("input", "output", "output_prefix", "kind")
+
 
 def main(argv: list[str] | None = None) -> int:
     # No command calls BLAS, so numpy's idle thread pool is pure start-up
@@ -396,7 +373,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _merge_params(args, _flag_actions(parser))
-        return _HANDLERS[args.command](params)
+        for name in _REQUIRED:
+            if name in params and params[name] is None:
+                raise ParseError(f"missing required flag --{name.replace('_', '-')}")
+        graph = digest = None
+        if "input" in params:
+            graph = load_edge_list(params["input"], params["format"])
+            digest = digest_file(params["input"])
+        manifest = _manifest(args.command, params, digest)
+        for path, text in _HANDLERS[args.command](params, graph, manifest).items():
+            write_text(path, text)
+        return 0
     except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)
         return 1

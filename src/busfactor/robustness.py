@@ -111,25 +111,18 @@ def insertion_area(n_tasks: int, reinserted: Iterable[Iterable[int]]) -> int:
 
 
 def decay_curve(graph: FrozenGraph, order: RemovalSequence) -> tuple[int, ...]:
-    """Decay curve for a full removal order, by reverse simulation.
+    """Decay curve for a full removal order, which must list every person
+    once, by reverse simulation.
 
     People are inserted back in reverse order into the task-only graph by
     :func:`insertion_maxima`; the curve is its running maxima read
     backwards, ending at 0 once everyone is gone.
     """
-    return _ordered_removal(graph, order)[0]
-
-
-def _ordered_removal(
-    graph: FrozenGraph, order: RemovalSequence
-) -> tuple[tuple[int, ...], int]:
-    """:func:`_removal_curve` of the people of ``order`` in turn, which must
-    list every person once."""
     order = list(order)
     if len(order) != graph.n_people or set(order) != set(graph.people):
         raise ValueError("removal sequence must be a permutation of all people")
     position = {p: i for i, p in enumerate(graph.people)}
-    return _removal_curve(graph, [position[p] for p in order])
+    return _removal_curve(graph, [position[p] for p in order])[0]
 
 
 def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -145,19 +138,6 @@ def _removal_curve(frozen: FrozenGraph, slots: Sequence[int]) -> tuple[tuple[int
 def normalization(n_people: int, n_tasks: int) -> int:
     """The complete graph's unhalved decay area, which scales an area into [0, 1]."""
     return n_tasks * (2 * n_people - 1)
-
-
-def robustness(graph: FrozenGraph, order: RemovalSequence) -> float:
-    """Normalized trapezoidal area under the decay curve, in [0, 1].
-
-    The area sum(tau[i-1] + tau[i]) / 2 is divided by the complete-graph
-    maximum n_tasks * (2 * n_people - 1) / 2; the halves cancel. A graph
-    with a single person scores 1 by this normalization (its own curve is
-    the theoretical maximum for one person), fragile as it is.
-    """
-    require_nondegenerate(graph)
-    _, area = _ordered_removal(graph, order)
-    return area / normalization(graph.n_people, graph.n_tasks)
 
 
 def greedy_order(graph: FrozenGraph) -> list[PersonId]:

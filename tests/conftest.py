@@ -660,6 +660,12 @@ def trapezoid_area(curve: tuple[int, ...]) -> int:
     return sum(curve[i - 1] + curve[i] for i in range(1, len(curve)))
 
 
+def order_robustness(graph: FrozenGraph, order) -> float:
+    """The robustness score of removing ``order``: :func:`trapezoid_area`
+    of its decay curve over the complete graph's."""
+    return trapezoid_area(decay_curve(graph, order)) / normalization(graph.n_people, graph.n_tasks)
+
+
 def _draw_new_task(rng, graph: SetGraph, person: int, tasks: list[int]):
     """Uniform task outside the person's neighborhood, or None if covered."""
     degree = graph.degree_of_person(person)

@@ -35,12 +35,12 @@ from busfactor.robustness import (
     bus_factor_exact,
     bus_factor_greedy,
     decay_curve,
-    robustness,
 )
 
 from conftest import (
     decay_curve_naive,
     degree_maps,
+    order_robustness,
     random_bipartite,
     z_worst_bruteforce,
 )
@@ -114,7 +114,7 @@ def test_criterion_3_robustness_bounds_and_anchors():
         g = random_bipartite(rng, 10, 10)
         order = sorted(g.people)
         rng.shuffle(order)
-        assert 0.0 <= robustness(g, order) <= 1.0
+        assert 0.0 <= order_robustness(g, order) <= 1.0
 
     for n_p, n_t in ((1, 1), (1, 7), (3, 4), (5, 2), (4, 4)):
         complete = ProjectGraph(

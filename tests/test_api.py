@@ -306,3 +306,41 @@ def test_only_the_cli_entry_point_touches_the_environment():
         if "environ" in ast.unparse(top)
     ]
     assert touching == [("cli.py", "main")]
+
+
+def _calls(function: ast.FunctionDef) -> set[str]:
+    """The names that ``function`` calls, by name or as an attribute."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_the_cli_main_loads_and_writes():
+    # main checks the flags, loads the input, builds the manifest and writes
+    # what the handler returns; a handler only computes its artifacts
+    functions = {
+        node.name: _calls(node)
+        for node in ast.parse((SRC / "cli.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    protocol = {"write_text", "load_edge_list", "digest_file", "_manifest"}
+    assert protocol <= functions["main"]
+    callers = {
+        name: sorted(f for f, calls in functions.items() if name in calls) for name in protocol
+    }
+    assert callers == {name: ["main"] for name in protocol}
+
+    # nor does a handler open a file, directly or through a helper in cli.py
+    opening = {"open", "read_text", "read_bytes", "write_bytes", "save_edge_list", *protocol}
+    handlers = [name for name in functions if name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    for handler in handlers:
+        reached, todo = set(), [handler]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += sorted(functions[name] & functions.keys())
+        assert not set().union(*(functions[f] for f in reached)) & opening, handler

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from busfactor.io import load_edge_list, save_edge_list
 
 from conftest import checkout_python, degree_maps, traced_peak
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 FOUR_EDGE_CSV = "person,task\np1,t1\np1,t2\np2,t2\np2,t3\n"
 
 
@@ -352,9 +355,11 @@ def test_generate_holds_no_project_graph(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "writer", ["save_edge_list", "cli._write_graph", "save_edge_list json", "cli._write_graph json"]
+    "writer",
+    ["save_edge_list", "cli._graph_pieces", "save_edge_list json", "cli._graph_pieces json"],
 )
 def test_graph_csv_is_written_as_it_is_rendered(tmp_path, writer):
+    from busfactor.io import write_text
     from busfactor.reporting import RunManifest
 
     writer, _, fmt = writer.partition(" ")
@@ -367,7 +372,7 @@ def test_graph_csv_is_written_as_it_is_rendered(tmp_path, writer):
         if writer == "save_edge_list":
             save_edge_list(graph, path)
         else:
-            cli._write_graph(graph, str(path), None, manifest)
+            write_text(path, cli._graph_pieces(graph, str(path), None, manifest))
 
     render_and_write()  # warm-up
     # the whole text, or its list of lines, would hold more than the file
@@ -438,6 +443,23 @@ def test_flag_defaults_follow_the_config_classes():
 
 def test_missing_required_flag(fixture_path):
     assert run("analyze", "--input", fixture_path) == 1  # no --output
+
+
+def test_missing_flag_is_reported_before_the_input_is_read(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("person,task\np1,p1\n")
+    assert run("analyze", "--input", bad) == 1
+    assert "missing required flag --output" in capsys.readouterr().err
+
+
+def test_seed_takes_every_unsigned_64_bit_value(tmp_path, capsys):
+    argv = ("generate", "--people", 5, "--tasks", 6, "--output", tmp_path / "g.csv")
+    for seed in (0, 2**64 - 1):
+        assert run(*argv, "--seed", seed) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", 2**64)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
 
 
 def test_workers_do_not_change_outputs(tmp_path, fixture_path):
@@ -529,6 +551,14 @@ def test_decimal_delta_is_refused_before_fraction_expands_it(tmp_path):
     )
     result = checkout_python(tmp_path, "-c", probe, timeout=30, check=True)
     assert "delta must be in (0, 1]" in result.stdout
+
+
+def test_fmt_float_marks_integral_floats():
+    from busfactor.reporting import canonical_json, fmt_float
+
+    # the 0.0 and 1.0 robustness of the edge cases stay floats in reports
+    assert [fmt_float(v) for v in (0.0, 1.0, 2.0)] == ["0.0", "1.0", "2.0"]
+    assert canonical_json([0.0, 1.0], None) == "[0.0,1.0]"
 
 
 def test_canonical_json_escapes_every_control_character():
@@ -637,6 +667,28 @@ def test_json_graph_files_are_pinned(tmp_path, monkeypatch):
         "best.graph.json": "e3ca5c0c5f506bc82d280fac99449106c0dba4b42f69d16aa44fedfdb2b16bdd",
         "best.trace.csv": "ee8fcff13ccbdb1ba9a9ba394096fcbaf5d075f8189234fdee1b760fde46df55",
     }
+
+
+def test_every_artifact_matches_the_bench_digests(tmp_path, criterion9_path, monkeypatch):
+    # the bench's criterion-9 chain runs every command on the criterion-9
+    # fixture; its reference digests pin the bytes of every artifact
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    workload = workloads.criterion9()
+    reference = json.loads((BENCH / "digests.json").read_text())["criterion-9"]["0"]
+
+    def sha256(name: str) -> str:
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert workload.prepared_input == ("criterion-9", criterion9_path.name)
+    assert sha256(criterion9_path.name) == reference[criterion9_path.name]
+    monkeypatch.chdir(tmp_path)
+    for command in workload.commands:
+        assert main(list(command.argv)) == 0, command.argv
+    names = [criterion9_path.name, *(a for c in workload.commands for a in c.artifacts)]
+    assert {name: sha256(name) for name in names} == reference
 
 
 # -- import cost ------------------------------------------------------------------

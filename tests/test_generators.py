@@ -308,6 +308,19 @@ def test_disjoint_union(four_edge_graph, two_stars):
     assert merged == thawed(merged).freeze()
 
 
+def test_disjoint_union_after_an_empty_graph_keeps_the_ids(two_stars):
+    empty = ProjectGraph().freeze()
+    assert disjoint_union(empty, two_stars) == two_stars
+
+
+@pytest.mark.parametrize("total_steps,stride", [(0, 10), (10, 0)])
+def test_run_sweep_refuses_a_step_count_or_stride_below_one(
+    four_edge_graph, total_steps, stride
+):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_sweep(four_edge_graph, "densify", total_steps, stride)
+
+
 def test_run_sweep_rows_and_reproducibility(four_edge_graph):
     g = generate_powerlaw(GeneratorConfig(n_people=30, n_tasks=40, seed=3))
     a = run_sweep(g, "densify", total_steps=20, stride=5, seed=6)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
@@ -127,6 +128,17 @@ def test_permutation_test_silo_is_low():
     # silos are anomalously fragile: every degree-preserving rewire beats them
     assert result.observed < min(result.null_values)
     assert result.p_value == pytest.approx(1 / 100)
+
+
+def test_permutation_summary_matches_the_null_values():
+    g = generate_powerlaw(GeneratorConfig(n_people=25, n_tasks=30, seed=8))
+    report = permutation_test(g, NullModelConfig(n_samples=24, seed=21)).to_dict(True)
+    values = report["null_values"]
+    assert len(set(values)) > 1
+    assert report["n_samples"] == len(values)
+    assert report["null_mean"] == pytest.approx(statistics.fmean(values), rel=1e-12)
+    assert report["null_std"] == pytest.approx(statistics.pstdev(values), rel=1e-9)
+    assert (report["null_min"], report["null_max"]) == (min(values), max(values))
 
 
 def test_permutation_test_workers_equivalent():

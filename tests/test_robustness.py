@@ -9,13 +9,13 @@ from busfactor.robustness import (
     bus_factor_greedy,
     decay_curve,
     greedy_order,
-    robustness,
 )
 
 from conftest import (
     decay_curve_naive,
     greedy_order_adaptive_reference,
     largest_task_component_size,
+    order_robustness,
     random_bipartite,
     sparse_graphs,
 )
@@ -83,15 +83,15 @@ def test_curve_boundaries_random():
 
 
 def test_robustness_examples(four_edge_graph, k22):
-    assert robustness(four_edge_graph, [1, 2]) == pytest.approx(7 / 9, abs=1e-15)
-    assert robustness(k22, [1, 2]) == 1.0
+    assert order_robustness(four_edge_graph, [1, 2]) == pytest.approx(7 / 9, abs=1e-15)
+    assert order_robustness(k22, [1, 2]) == 1.0
     edgeless = ProjectGraph(people=[1, 2], tasks=[1, 2]).freeze()
-    assert robustness(edgeless, [1, 2]) == 0.0
+    assert order_robustness(edgeless, [1, 2]) == 0.0
 
 
 def test_robustness_degenerate():
     with pytest.raises(DegenerateError):
-        robustness(ProjectGraph(people=[1]).freeze(), [1])
+        bus_factor_greedy(ProjectGraph(people=[1]).freeze())
     with pytest.raises(DegenerateError):
         bus_factor_greedy(ProjectGraph(tasks=[1]).freeze())
 
@@ -134,6 +134,15 @@ def test_exact_guard():
         bus_factor_exact(g)
 
 
+def test_exact_accepts_the_guard():
+    # eight people on one task: every order has the same area, so the
+    # lexicographically smallest is returned
+    g = ProjectGraph(people=range(8), tasks=[0], edges=[(p, 0) for p in range(8)]).freeze()
+    res = bus_factor_exact(g)
+    assert res.sequence == tuple(range(8))
+    assert res.value == bus_factor_greedy(g).value
+
+
 def test_exact_below_greedy_random():
     rng = np.random.default_rng(75)
     for _ in range(30):
@@ -153,7 +162,7 @@ def test_complete_graphs_score_one():
         ).freeze()
         assert bus_factor_greedy(g).value == 1.0
         order = random_permutation(rng, g)
-        assert robustness(g, order) == 1.0
+        assert order_robustness(g, order) == 1.0
 
 
 def test_robustness_in_unit_interval_random():
@@ -161,7 +170,7 @@ def test_robustness_in_unit_interval_random():
     for _ in range(50):
         g = random_bipartite(rng, 10, 10)
         order = random_permutation(rng, g)
-        assert 0.0 <= robustness(g, order) <= 1.0
+        assert 0.0 <= order_robustness(g, order) <= 1.0
 
 
 def test_cloning_bridge_person_never_hurts():
