@@ -3,7 +3,9 @@
 Flat subcommands (analyze, generate, sweep, nulltest, optimize, decay) with
 long-form flags only. A JSON file passed via --config supplies defaults for
 any flag; explicit flags win. Outputs are deterministic for a fixed seed
-and independent of --workers.
+and independent of --workers. Each command's handler returns bare
+artifacts: a report's fields, a graph, or a CSV's lines. ``main`` alone
+loads the input, and embeds the run manifest in every artifact it writes.
 
 Exit codes: 0 success, 1 unreadable or malformed input, 2 infeasible or
 degenerate request (including out-of-range thresholds), 3 internal error.
@@ -18,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from . import __version__
 from .coverage import coverage_report, normalize_delta
@@ -41,7 +43,6 @@ from .optimize import (
     permutation_test,
 )
 from .reporting import (
-    RunManifest,
     canonical_json,
     decay_csv,
     digest_file,
@@ -251,104 +252,102 @@ def _call(fn, params: dict, *args, **renames: str):
     return fn(*args, **{name: params[renames.get(name, name)] for name in names})
 
 
-def _manifest(command: str, params: dict, input_digest: str | None) -> RunManifest:
-    recorded = {
-        k: v for k, v in sorted(params.items())
-        if k not in _NON_REPRODUCIBLE and v is not None
+def _manifest(command: str, params: dict, input_digest: str | None) -> dict:
+    """Everything needed to replay the command bit for bit."""
+    return {
+        "command": command,
+        "parameters": {
+            k: v for k, v in sorted(params.items())
+            if k not in _NON_REPRODUCIBLE and v is not None
+        },
+        "seed": params.get("seed"),
+        "input_sha256": input_digest,
+        "version": __version__,
     }
-    return RunManifest(
-        command=command,
-        parameters=recorded,
-        seed=params.get("seed"),
-        input_sha256=input_digest,
-        version=__version__,
-    )
 
 
-def _graph_pieces(
-    graph: FrozenGraph, path: str, fmt: str | None, manifest: RunManifest
-) -> Iterator[str]:
-    """The graph file at ``path``, its manifest embedded, as it is rendered."""
-    if file_format(path, fmt) == "csv":
-        return itertools.chain([manifest.comment_line() + "\n"], csv_pieces(graph))
-    return json_pieces(graph, canonical_json(manifest.to_dict()))
+Artifact = dict | FrozenGraph | Iterable[str]
+
+
+def _stamped(
+    path: str, artifact: Artifact, manifest: dict, fmt: str | None
+) -> str | Iterable[str]:
+    """The text of the file at ``path``, or its pieces as they are rendered:
+    ``artifact`` with ``manifest`` embedded, as a ``manifest`` key of a JSON
+    file or a ``# manifest:`` line at the head of a CSV file."""
+    if isinstance(artifact, dict):
+        return canonical_json({"manifest": manifest, **artifact})
+    if isinstance(artifact, FrozenGraph):
+        if file_format(path, fmt) == "json":
+            return json_pieces(artifact, canonical_json(manifest))
+        artifact = csv_pieces(artifact)
+    comment = "# manifest: " + canonical_json(manifest, indent=None) + "\n"
+    return itertools.chain([comment], artifact)
 
 
 # -- command handlers ---------------------------------------------------------
-# Each takes the flags, the --input graph (None for `generate`) and the
-# manifest, and returns each artifact's path with its text or its pieces,
-# in the order `main` writes them.
-
-Artifacts = dict[str, str | Iterable[str]]
+# Each takes the flags and the --input graph (None for `generate`), and
+# returns its bare artifacts by path, in the order `main` writes them.
 
 
-def _cmd_analyze(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
+def _cmd_analyze(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
     decay_path = params["decay_output"] or f"{params['output']}.decay.csv"
+    if os.path.realpath(decay_path) == os.path.realpath(params["output"]):
+        raise ParseError(f"--decay-output {decay_path} names the --output file")
     report = coverage_report(graph, params["delta"])
     result = bus_factor_greedy(graph)
-    payload = {
-        "manifest": manifest.to_dict(),
+    fields = {
         **report.to_dict(),
         "robustness": result.value,
         "removal_sequence": [person_label(p) for p in result.sequence],
         "curve": list(result.curve),
         "decay_curve": str(decay_path),
     }
-    return {
-        decay_path: decay_csv(result, manifest),
-        params["output"]: canonical_json(payload),
-    }
+    return {decay_path: decay_csv(result), params["output"]: fields}
 
 
-def _cmd_generate(params: dict, graph: None, manifest: RunManifest) -> Artifacts:
+def _cmd_generate(params: dict, graph: None) -> dict[str, Artifact]:
     config = _call(GeneratorConfig, params, n_people="people", n_tasks="tasks")
-    path = params["output"]
-    return {path: _graph_pieces(generate_powerlaw(config), path, params["format"], manifest)}
+    return {params["output"]: generate_powerlaw(config)}
 
 
-def _cmd_sweep(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
+def _cmd_sweep(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
     table = _call(run_sweep, params, graph, total_steps="steps")
-    return {params["output"]: sweep_csv(table, manifest)}
+    return {params["output"]: sweep_csv(table)}
 
 
-def _cmd_nulltest(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
+def _cmd_nulltest(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
     config = _call(NullModelConfig, params, n_samples="samples")
     if params["calibrate"] is not None:
         pvalues = calibrate_pvalues(
             graph, config, trials=params["calibrate"], workers=params["workers"]
         )
-        payload = {
-            "manifest": manifest.to_dict(),
+        fields = {
             "trials": params["calibrate"],
             "n_samples": config.n_samples,
             "p_values": pvalues,
         }
     else:
         result = permutation_test(graph, config, workers=params["workers"])
-        payload = {
-            "manifest": manifest.to_dict(),
-            **result.to_dict(include_null_values=bool(params["include_null_values"])),
-        }
-    return {params["output"]: canonical_json(payload)}
+        fields = result.to_dict(include_null_values=bool(params["include_null_values"]))
+    return {params["output"]: fields}
 
 
-def _cmd_optimize(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
+def _cmd_optimize(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
     best_graph, best_trace = anneal_restarts(
         graph, _call(AnnealingConfig, params), params["restarts"], params["workers"]
     )
     prefix = params["output_prefix"]
-    fmt = params["format"] or "csv"
     curves = bus_factor_greedy(graph).curve, bus_factor_greedy(best_graph).curve
-    graph_path = f"{prefix}.graph.{fmt}"
     return {
-        graph_path: _graph_pieces(best_graph, graph_path, fmt, manifest),
-        f"{prefix}.trace.csv": trace_csv(best_trace, manifest),
-        f"{prefix}.decay.csv": paired_decay_csv(*curves, manifest),
+        f"{prefix}.graph.{params['format'] or 'csv'}": best_graph,
+        f"{prefix}.trace.csv": trace_csv(best_trace),
+        f"{prefix}.decay.csv": paired_decay_csv(*curves),
     }
 
 
-def _cmd_decay(params: dict, graph: FrozenGraph, manifest: RunManifest) -> Artifacts:
-    return {params["output"]: decay_csv(bus_factor_greedy(graph), manifest)}
+def _cmd_decay(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
+    return {params["output"]: decay_csv(bus_factor_greedy(graph))}
 
 
 _HANDLERS = {
@@ -381,8 +380,8 @@ def main(argv: list[str] | None = None) -> int:
             graph = load_edge_list(params["input"], params["format"])
             digest = digest_file(params["input"])
         manifest = _manifest(args.command, params, digest)
-        for path, text in _HANDLERS[args.command](params, graph, manifest).items():
-            write_text(path, text)
+        for path, artifact in _HANDLERS[args.command](params, graph).items():
+            write_text(path, _stamped(path, artifact, manifest, params["format"]))
         return 0
     except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)

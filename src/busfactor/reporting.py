@@ -1,10 +1,11 @@
 """Deterministic artifact serialization.
 
-Every output file embeds a run manifest (command, parameters, seed, input
-digest, tool version) and is rendered through a canonical writer: keys
-sorted, floats printed with 17 significant digits so they round-trip
-exactly, LF line endings. Re-running a command with the same inputs must
-reproduce files byte for byte.
+Artifacts are rendered through a canonical writer: keys sorted, floats
+printed with 17 significant digits so they round-trip exactly, LF line
+endings. Re-running a command with the same inputs must reproduce files
+byte for byte. The renderers here emit bare artifacts; the command line
+embeds the run manifest (command, parameters, seed, input digest, tool
+version) in each file it writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -79,23 +79,6 @@ def _write_json(obj, out: list[str], indent: int | None, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay a command bit for bit."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    input_sha256: str | None
-    version: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def comment_line(self) -> str:
-        return "# manifest: " + canonical_json(self.to_dict(), indent=None)
-
-
 def digest_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -103,13 +86,10 @@ def digest_file(path: str | Path) -> str:
 # -- CSV renderers ----------------------------------------------------------------
 
 
-def _csv(
-    manifest: RunManifest, header: str, rows: Iterable[str], comments: Iterable[str] = ()
-) -> Iterator[str]:
-    """The lines of a CSV artifact: the manifest comment, the ``#``
-    comments, the header, then the rows. They are yielded one at a time,
-    so that a writer holds no more than a buffer of them."""
-    yield manifest.comment_line() + "\n"
+def _csv(header: str, rows: Iterable[str], comments: Iterable[str] = ()) -> Iterator[str]:
+    """The lines of a CSV artifact: the ``#`` comments, the header, then the
+    rows. They are yielded one at a time, so that a writer holds no more
+    than a buffer of them."""
     for comment in comments:
         yield f"# {comment}\n"
     yield header + "\n"
@@ -117,7 +97,7 @@ def _csv(
         yield row + "\n"
 
 
-def sweep_csv(table: SweepTable, manifest: RunManifest) -> Iterator[str]:
+def sweep_csv(table: SweepTable) -> Iterator[str]:
     comments = [f"note: {note}" for note in table.notes]
     if table.truncated:
         comments.append("truncated: true")
@@ -126,13 +106,13 @@ def sweep_csv(table: SweepTable, manifest: RunManifest) -> Iterator[str]:
         f"{fmt_float(row.robustness)}"
         for row in table.rows
     )
-    return _csv(manifest, "modifications,mrs,mcs,robustness", rows, comments)
+    return _csv("modifications,mrs,mcs,robustness", rows, comments)
 
 
-def decay_csv(result: RobustnessResult, manifest: RunManifest) -> Iterator[str]:
+def decay_csv(result: RobustnessResult) -> Iterator[str]:
     removed = itertools.chain([""], map(person_label, result.sequence))
     rows = map("{},{},{}".format, itertools.count(), removed, result.curve)
-    return _csv(manifest, "step,removed_person,tau", rows)
+    return _csv("step,removed_person,tau", rows)
 
 
 class _FloatText(dict):
@@ -145,7 +125,7 @@ class _FloatText(dict):
         return text
 
 
-def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> Iterator[str]:
+def trace_csv(trace: AnnealingTrace) -> Iterator[str]:
     """One row per accepted step. A chain has few distinct temperatures and
     best objectives, so each is formatted once."""
     text = _FloatText()  # temperatures are positive, objectives non-negative
@@ -153,11 +133,9 @@ def trace_csv(trace: AnnealingTrace, manifest: RunManifest) -> Iterator[str]:
         f"{step},{text[temperature]},{text[objective]}"
         for step, temperature, objective in trace.rows
     )
-    return _csv(manifest, "step,temperature,objective", rows)
+    return _csv("step,temperature,objective", rows)
 
 
-def paired_decay_csv(
-    original: Sequence[int], optimized: Sequence[int], manifest: RunManifest
-) -> Iterator[str]:
+def paired_decay_csv(original: Sequence[int], optimized: Sequence[int]) -> Iterator[str]:
     rows = map("{},{},{}".format, itertools.count(), original, optimized)
-    return _csv(manifest, "step,tau_original,tau_optimized", rows)
+    return _csv("step,tau_original,tau_optimized", rows)

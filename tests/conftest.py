@@ -14,6 +14,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import busfactor
 from busfactor.coverage import _coverage_target, normalize_delta
@@ -307,6 +309,52 @@ def mcs_bruteforce(graph, target) -> set[int]:
             if len(coverage_bruteforce(graph, kept)) < target:
                 return set(removed)
     raise AssertionError("removing everyone always drops coverage")
+
+
+def coverage_milp(graph: FrozenGraph, delta) -> tuple[int | None, int]:
+    """The exact sizes of the maximum redundant set (None when the target is
+    unreachable) and of the minimum critical set, from two mixed-integer
+    programs that HiGHS solves. Binary x_p marks a person who leaves and
+    c_t in [0, 1] a task that stays covered; need = ceil(delta * tasks).
+
+    - MRS: c_t <= sum over t's people of (1 - x_p), sum of c_t >= need;
+      maximize the sum of x_p.
+    - MCS: c_t >= 1 - x_p for each edge (p, t), sum of c_t <= need - 1;
+      minimize the sum of x_p.
+    """
+    need = math.ceil(_coverage_target(graph, delta))
+    n, m = graph.n_people, graph.n_tasks
+    edges = [(k, t) for k, own in enumerate(graph.adjacency) for t in own]
+    e = len(edges)
+    person = np.array([k for k, _ in edges], dtype=np.intp)
+    task = np.array([t for _, t in edges], dtype=np.intp)
+    leaving = np.r_[np.ones(n), np.zeros(m)]  # sum of x_p; the x_p are integral
+    covered = np.r_[np.zeros(n), np.ones(m)][None, :]  # sum of c_t
+    options = {"integrality": leaving, "bounds": Bounds(0, 1)}
+
+    # MRS: for each task, c_t + the sum of its people's x_p <= its degree
+    by_task = sparse.csr_array(
+        (np.ones(e + m), (np.r_[task, np.arange(m)], np.r_[person, n + np.arange(m)])),
+        shape=(m, n + m),
+    )
+    mrs = milp(-leaving, constraints=[
+        LinearConstraint(by_task, ub=np.bincount(task, minlength=m)),
+        LinearConstraint(covered, lb=need),
+    ], **options)
+    # MCS: for each edge, x_p + c_t >= 1
+    by_edge = sparse.csr_array(
+        (np.ones(2 * e), (np.tile(np.arange(e), 2), np.r_[person, n + task])),
+        shape=(e, n + m),
+    )
+    mcs = milp(leaving, constraints=[
+        LinearConstraint(by_edge, lb=1),
+        LinearConstraint(covered, ub=need - 1),
+    ], **options)
+    assert mcs.success, mcs.message
+    if mrs.status == 2:  # infeasible: the target is out of reach
+        return None, round(mcs.fun)
+    assert mrs.success, mrs.message
+    return round(-mrs.fun), round(mcs.fun)
 
 
 def z_worst_bruteforce(graph, target) -> int:

@@ -317,15 +317,21 @@ def _calls(function: ast.FunctionDef) -> set[str]:
     }
 
 
+def _arg_names(function: ast.FunctionDef) -> list[str]:
+    return [node.arg for node in ast.walk(function.args) if isinstance(node, ast.arg)]
+
+
 def test_only_the_cli_main_loads_and_writes():
-    # main checks the flags, loads the input, builds the manifest and writes
-    # what the handler returns; a handler only computes its artifacts
-    functions = {
-        node.name: _calls(node)
+    # main checks the flags, loads the input, builds the manifest, stamps it
+    # into what the handler returns and writes that; a handler only computes
+    # its bare artifacts
+    defs = {
+        node.name: node
         for node in ast.parse((SRC / "cli.py").read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef)
     }
-    protocol = {"write_text", "load_edge_list", "digest_file", "_manifest"}
+    functions = {name: _calls(node) for name, node in defs.items()}
+    protocol = {"write_text", "load_edge_list", "digest_file", "_manifest", "_stamped"}
     assert protocol <= functions["main"]
     callers = {
         name: sorted(f for f, calls in functions.items() if name in calls) for name in protocol
@@ -337,6 +343,7 @@ def test_only_the_cli_main_loads_and_writes():
     handlers = [name for name in functions if name.startswith("_cmd_")]
     assert len(handlers) == 6
     for handler in handlers:
+        assert _arg_names(defs[handler]) == ["params", "graph"], handler
         reached, todo = set(), [handler]
         while todo:
             name = todo.pop()
@@ -344,3 +351,22 @@ def test_only_the_cli_main_loads_and_writes():
                 reached.add(name)
                 todo += sorted(functions[name] & functions.keys())
         assert not set().union(*(functions[f] for f in reached)) & opening, handler
+
+    # the manifest is read where it is built and where it is stamped, and
+    # no renderer takes one
+    readers = [
+        name
+        for name, function in defs.items()
+        if any(
+            isinstance(node, ast.Name) and node.id == "manifest"
+            for node in ast.walk(function)
+        )
+    ]
+    assert sorted(readers) == ["_stamped", "main"]
+    renderers = ast.parse((SRC / "reporting.py").read_text(encoding="utf-8"))
+    taking = [
+        node.name
+        for node in ast.walk(renderers)
+        if isinstance(node, ast.FunctionDef) and "manifest" in _arg_names(node)
+    ]
+    assert taking == []

@@ -289,21 +289,20 @@ def test_nulltest_holds_no_project_graph_while_sampling(tmp_path, criterion9_pat
 
 def test_trace_csv_renders_every_row():
     from busfactor.optimize import AnnealingTrace, TraceRow
-    from busfactor.reporting import RunManifest, fmt_float, trace_csv
+    from busfactor.reporting import fmt_float, trace_csv
 
-    manifest = RunManifest("optimize", {}, 0, None, "0")
     values = [(0.05, 0.25), (0.05, 0.25), (0.05, 1 / 3), (0.0475, 1 / 3), (1e-4, 1.0)]
     rows = [TraceRow(i, t, o) for i, (t, o) in enumerate(values, start=1)]
-    want = [manifest.comment_line(), "step,temperature,objective"] + [
+    want = ["step,temperature,objective"] + [
         f"{r.step},{fmt_float(r.temperature)},{fmt_float(r.objective)}" for r in rows
     ]
-    assert "".join(trace_csv(AnnealingTrace(rows), manifest)) == "\n".join(want) + "\n"
+    assert "".join(trace_csv(AnnealingTrace(rows))) == "\n".join(want) + "\n"
 
 
 def test_trace_is_written_as_it_is_rendered(tmp_path):
     from busfactor.io import write_text
     from busfactor.optimize import AnnealingTrace, TraceRow
-    from busfactor.reporting import RunManifest, trace_csv
+    from busfactor.reporting import trace_csv
 
     # a chain's shape: temperatures fall level by level, the best rises
     # now and then, and rows share their floats as anneal's do
@@ -313,11 +312,12 @@ def test_trace_is_written_as_it_is_rendered(tmp_path):
         TraceRow(step, temperatures[step // 200], objectives[step // 50])
         for step in range(5000)
     ]
-    manifest = RunManifest("optimize", {}, 0, None, "0")
+    manifest = cli._manifest("optimize", {"seed": 0}, None)
     path = tmp_path / "trace.csv"
 
     def render_and_write():
-        write_text(path, trace_csv(AnnealingTrace(rows), manifest))
+        artifact = trace_csv(AnnealingTrace(rows))
+        write_text(path, cli._stamped(str(path), artifact, manifest, None))
 
     render_and_write()  # warm-up
     # a whole-file string and its list of lines would hold several times it
@@ -356,23 +356,22 @@ def test_generate_holds_no_project_graph(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "writer",
-    ["save_edge_list", "cli._graph_pieces", "save_edge_list json", "cli._graph_pieces json"],
+    ["save_edge_list", "cli._stamped", "save_edge_list json", "cli._stamped json"],
 )
 def test_graph_csv_is_written_as_it_is_rendered(tmp_path, writer):
     from busfactor.io import write_text
-    from busfactor.reporting import RunManifest
 
     writer, _, fmt = writer.partition(" ")
     fmt = fmt or "csv"
     graph = generate_powerlaw(GeneratorConfig(n_people=3000, n_tasks=4000, seed=1))
-    manifest = RunManifest("generate", {}, 1, None, "0")
+    manifest = cli._manifest("generate", {"seed": 1}, None)
     path = tmp_path / f"graph.{fmt}"
 
     def render_and_write():
         if writer == "save_edge_list":
             save_edge_list(graph, path)
         else:
-            write_text(path, cli._graph_pieces(graph, str(path), None, manifest))
+            write_text(path, cli._stamped(str(path), graph, manifest, None))
 
     render_and_write()  # warm-up
     # the whole text, or its list of lines, would hold more than the file
@@ -450,6 +449,30 @@ def test_missing_flag_is_reported_before_the_input_is_read(tmp_path, capsys):
     bad.write_text("person,task\np1,p1\n")
     assert run("analyze", "--input", bad) == 1
     assert "missing required flag --output" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_decay_output_naming_the_report(tmp_path, capsys, fixture_path):
+    report = tmp_path / "d" / "x"
+    report.parent.mkdir()
+    for decay in (report, tmp_path / "d" / "." / "x"):
+        assert run("analyze", "--input", fixture_path, "--output", report,
+                   "--decay-output", decay) == 1
+        assert "names the --output file" in capsys.readouterr().err
+        assert list(report.parent.iterdir()) == []
+
+
+def test_generate_defaults_to_the_desk_size(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run("generate", "--seed", 1, "--output", out) == 0
+    graph = load_edge_list(out)
+    assert (graph.n_people, graph.n_tasks) == (750, 1000)
+
+
+def test_sweep_defaults_to_5000_steps(tmp_path, capsys, fixture_path):
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--input", fixture_path, "--kind", "singletons", "--output", out) == 2
+    assert "cannot add 5000 singletons" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_takes_every_unsigned_64_bit_value(tmp_path, capsys):

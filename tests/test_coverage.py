@@ -14,10 +14,12 @@ from busfactor.coverage import (
     normalize_delta,
 )
 from busfactor.errors import DegenerateError, InfeasibleError
+from busfactor.generators import GeneratorConfig, generate_powerlaw
 from busfactor.graph import ProjectGraph
 
 from conftest import (
     coverage_bruteforce,
+    coverage_milp,
     covered_task_count,
     mcs_bruteforce,
     mcs_greedy_reference,
@@ -188,3 +190,31 @@ def test_dense_greedies_match_set_based_references(graph, delta):
                 greedy(graph, delta)
         else:
             assert greedy(graph, delta) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sparse_graphs(),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+)
+def test_coverage_milp_matches_the_exhaustive_oracles(graph, delta):
+    try:
+        mcs = mcs_exact(graph, delta)
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            coverage_milp(graph, delta)
+        return
+    try:
+        mrs_size = len(mrs_exact(graph, delta))
+    except InfeasibleError:
+        mrs_size = None
+    assert coverage_milp(graph, delta) == (mrs_size, len(mcs))
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44])
+def test_greedy_coverage_is_bounded_by_the_milp_at_desk_scale(seed):
+    graph = generate_powerlaw(GeneratorConfig(n_people=750, n_tasks=1000, seed=seed))
+    for delta in ("0.5", "0.8"):
+        mrs_size, mcs_size = coverage_milp(graph, delta)
+        assert len(mrs_greedy(graph, delta)) <= mrs_size
+        assert len(mcs_greedy(graph, delta)) >= mcs_size

@@ -30,7 +30,7 @@ from busfactor.optimize import (
     null_sample,
     permutation_test,
 )
-from busfactor.reporting import RunManifest, paired_decay_csv
+from busfactor.reporting import paired_decay_csv
 from busfactor.robustness import bus_factor_greedy
 
 from conftest import (
@@ -653,8 +653,7 @@ def test_anneal_shortcuts_save_insertions():
 
 def test_paired_decay_identity(four_edge_graph):
     curve = bus_factor_greedy(four_edge_graph).curve
-    manifest = RunManifest("optimize", {}, 0, None, "0")
-    _, header, *rows = paired_decay_csv(curve, curve, manifest)
+    header, *rows = paired_decay_csv(curve, curve)
     assert header == "step,tau_original,tau_optimized\n"
     assert rows[0] == "0,3,3\n"
     assert len(rows) == four_edge_graph.n_people + 1
