@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Flat subcommands (analyze, generate, sweep, nulltest, optimize, decay) with
-long-form flags only. A JSON file passed via --config supplies defaults for
-any flag; explicit flags win. Outputs are deterministic for a fixed seed
-and independent of --workers. Each command's handler returns bare
-artifacts: a report's fields, a graph, or a CSV's lines. ``main`` alone
-loads the input, and embeds the run manifest in every artifact it writes.
+long-form flags only. Two tables, ``_FLAGS`` (each flag's parser keywords)
+and ``_COMMANDS`` (each command's handler, help line and flags), build the
+parser and the checks of --config values. A JSON file passed via --config
+supplies defaults for any flag; explicit flags win. Outputs are
+deterministic for a fixed seed and independent of --workers. Each command's
+handler returns bare artifacts: a report's fields, a graph, or a CSV's
+lines. ``main`` alone loads the input, and embeds the run manifest in every
+artifact it writes.
 
 Exit codes: 0 success, 1 unreadable or malformed input, 2 infeasible or
 degenerate request (including out-of-range thresholds), 3 internal error.
@@ -28,6 +31,7 @@ from .errors import DegenerateError, InfeasibleError, ParseError
 from .generators import GeneratorConfig, generate_powerlaw, run_sweep, SWEEP_KINDS
 from .graph import FrozenGraph
 from .io import (
+    FORMATS,
     csv_pieces,
     file_format,
     json_pieces,
@@ -106,6 +110,41 @@ def _seed_flag(text: str) -> int:
     return value
 
 
+# Each flag's add_argument keywords, by destination (its name, dashed).
+_SWITCH = {"action": "store_true", "default": None}
+_FLAGS = {
+    "config": {"help": "JSON file of flag defaults"},
+    "format": {"choices": FORMATS, "help": "graph file format (default: by file extension)"},
+    "input": {"help": "graph file to analyze"},
+    "delta": {"type": _delta_flag, "help": "coverage threshold in (0,1]"},
+    "output": {"help": "output file path"},
+    "decay_output": {"help": "decay CSV path (default <output>.decay.csv)"},
+    "people": {"type": int},
+    "tasks": {"type": int},
+    "exponent_people": {"type": float},
+    "exponent_tasks": {"type": float},
+    "min_degree": {"type": int},
+    "seed": {"type": _seed_flag},
+    "kind": {"choices": SWEEP_KINDS},
+    "steps": {"type": int, "help": "total modifications"},
+    "stride": {"type": int, "help": "modifications between checkpoints"},
+    "workers": {"type": _positive_flag, "help": "parallel workers (default 1)"},
+    "samples": {"type": int, "help": "null ensemble size"},
+    "swaps_per_edge": {"type": int},
+    "calibrate": {"type": int, "metavar": "TRIALS",
+                  "help": "instead of testing, emit p-values for null-drawn observations"},
+    "include_null_values": {**_SWITCH, "help": "embed the full null sample in the report"},
+    "initial_temperature": {"type": float},
+    "cooling_rate": {"type": float},
+    "steps_per_temperature": {"type": int},
+    "min_temperature": {"type": float},
+    "restarts": {"type": int, "help": "independent chains, best kept"},
+    "output_prefix": {"help": "writes <prefix>.graph.*, .trace.csv, .decay.csv"},
+    "adaptive": {**_SWITCH,
+                 "help": "accepted; the static degree order is used (re-ranking gives the same)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="busfactor",
@@ -113,118 +152,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, graph_input: bool = True) -> None:
-        p.add_argument("--config", help="JSON file of flag defaults")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            help="graph file format (default: by file extension)",
-        )
-        if graph_input:
-            p.add_argument("--input", help="graph file to analyze")
-
-    p = sub.add_parser("analyze", help="coverage and robustness report")
-    common(p)
-    p.add_argument("--delta", type=_delta_flag, help="coverage threshold in (0,1]")
-    p.add_argument("--output", help="JSON report path")
-    p.add_argument("--decay-output", help="decay CSV path (default <output>.decay.csv)")
-
-    p = sub.add_parser("generate", help="synthetic power-law graph")
-    common(p, graph_input=False)
-    p.add_argument("--people", type=int)
-    p.add_argument("--tasks", type=int)
-    p.add_argument("--exponent-people", type=float)
-    p.add_argument("--exponent-tasks", type=float)
-    p.add_argument("--min-degree", type=int)
-    p.add_argument("--seed", type=_seed_flag)
-    p.add_argument("--output", help="graph file path")
-
-    p = sub.add_parser("sweep", help="perturbation sweep of the metrics")
-    common(p)
-    p.add_argument("--kind", choices=SWEEP_KINDS)
-    p.add_argument("--steps", type=int, help="total modifications")
-    p.add_argument("--stride", type=int, help="modifications between checkpoints")
-    p.add_argument("--delta", type=_delta_flag)
-    p.add_argument("--seed", type=_seed_flag)
-    p.add_argument("--output", help="sweep CSV path")
-
-    p = sub.add_parser("nulltest", help="degree-preserving permutation test")
-    common(p)
-    p.add_argument("--workers", type=_positive_flag, help="parallel workers (default 1)")
-    p.add_argument("--samples", type=int, help="null ensemble size")
-    p.add_argument("--swaps-per-edge", type=int)
-    p.add_argument("--seed", type=_seed_flag)
-    p.add_argument(
-        "--calibrate",
-        type=int,
-        metavar="TRIALS",
-        help="instead of testing, emit p-values for null-drawn observations",
-    )
-    p.add_argument(
-        "--include-null-values", action="store_true", default=None,
-        help="embed the full null sample in the report",
-    )
-    p.add_argument("--output", help="JSON result path")
-
-    p = sub.add_parser("optimize", help="simulated-annealing rewiring")
-    common(p)
-    p.add_argument("--workers", type=_positive_flag, help="parallel workers (default 1)")
-    p.add_argument("--seed", type=_seed_flag)
-    p.add_argument("--initial-temperature", type=float)
-    p.add_argument("--cooling-rate", type=float)
-    p.add_argument("--steps-per-temperature", type=int)
-    p.add_argument("--min-temperature", type=float)
-    p.add_argument("--restarts", type=int, help="independent chains, best kept")
-    p.add_argument("--output-prefix", help="writes <prefix>.graph.*, .trace.csv, .decay.csv")
-
-    p = sub.add_parser("decay", help="greedy decay curve CSV")
-    common(p)
-    p.add_argument(
-        "--adaptive", action="store_true", default=None,
-        help="accepted; the static degree order is used (re-ranking gives the same)",
-    )
-    p.add_argument("--output", help="decay CSV path")
-
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for dest in ("config", "format", *flags):
+            p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
     return parser
 
 
-def _flag_actions(parser: argparse.ArgumentParser) -> dict[str, dict]:
-    """Each subcommand's flag actions, by destination."""
-    (commands,) = (a for a in parser._actions if a.dest == "command")
-    return {
-        command: {a.dest: a for a in sub._actions if a.dest != "help"}
-        for command, sub in commands.choices.items()
-    }
-
-
-def _config_value(action: argparse.Action, key: str, value):
+def _config_value(flag: dict, key: str, value):
     """A --config value given the checks its flag's text would get."""
     try:
-        if action.nargs == 0:  # a switch such as --adaptive
+        if flag.get("action") == "store_true":  # a switch such as --adaptive
             if not isinstance(value, bool):
                 raise ValueError(f"expected true or false, got {value!r}")
-        elif action.type is not None:
-            value = action.type(str(value))
+        elif "type" in flag:
+            value = flag["type"](str(value))
         elif not isinstance(value, str):
             raise ValueError(f"expected a string, got {value!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{value!r} is not one of {sorted(action.choices)}")
+        if "choices" in flag and value not in flag["choices"]:
+            raise ValueError(f"{value!r} is not one of {sorted(flag['choices'])}")
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ParseError(f"--config key {key!r}: {exc}") from exc
     return value
 
 
-def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
+def _merge_params(args: argparse.Namespace) -> dict:
     """Built-in defaults, overridden by --config values, overridden by flags.
 
-    Only this subcommand's flags are kept, and their config values pass
-    through the flag's converter and choices (``actions``, by subcommand
-    and destination); config keys belonging to other subcommands are
-    tolerated (shared pipeline configs), unknown keys are rejected.
+    Only this subcommand's flags (the destinations its parser set) are
+    kept, and their config values pass through the flag's converter and
+    choices; config keys belonging to other subcommands are tolerated
+    (shared pipeline configs), unknown keys are rejected.
     """
-    own = actions[args.command]
-    params = {k: DEFAULTS.get(k) for k in own}
+    params = {k: DEFAULTS.get(k) for k in vars(args) if k != "command"}
     given = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
     config_path = given.pop("config", None)
     if config_path:
@@ -237,9 +197,9 @@ def _merge_params(args: argparse.Namespace, actions: dict[str, dict]) -> dict:
             raise ParseError("--config file must contain a JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_")
-            if norm in own:
-                params[norm] = _config_value(own[norm], key, value)
-            elif not any(norm in flags for flags in actions.values()):
+            if norm in params:
+                params[norm] = _config_value(_FLAGS[norm], key, value)
+            elif norm not in _FLAGS:
                 raise ParseError(f"unknown --config key {key!r}")
     params.update(given)
     return params
@@ -350,13 +310,23 @@ def _cmd_decay(params: dict, graph: FrozenGraph) -> dict[str, Artifact]:
     return {params["output"]: decay_csv(bus_factor_greedy(graph))}
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "generate": _cmd_generate,
-    "sweep": _cmd_sweep,
-    "nulltest": _cmd_nulltest,
-    "optimize": _cmd_optimize,
-    "decay": _cmd_decay,
+# Each command's handler, help line and flags (after the --config and
+# --format that every command takes), in --help order.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "coverage and robustness report",
+                ("input", "delta", "output", "decay_output")),
+    "generate": (_cmd_generate, "synthetic power-law graph",
+                 ("people", "tasks", "exponent_people", "exponent_tasks", "min_degree",
+                  "seed", "output")),
+    "sweep": (_cmd_sweep, "perturbation sweep of the metrics",
+              ("input", "kind", "steps", "stride", "delta", "seed", "output")),
+    "nulltest": (_cmd_nulltest, "degree-preserving permutation test",
+                 ("input", "workers", "samples", "swaps_per_edge", "seed", "calibrate",
+                  "include_null_values", "output")),
+    "optimize": (_cmd_optimize, "simulated-annealing rewiring",
+                 ("input", "workers", "seed", "initial_temperature", "cooling_rate",
+                  "steps_per_temperature", "min_temperature", "restarts", "output_prefix")),
+    "decay": (_cmd_decay, "greedy decay curve CSV", ("input", "adaptive", "output")),
 }
 
 # The flags a command needs and has no default for, checked in this order
@@ -368,10 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     # No command calls BLAS, so numpy's idle thread pool is pure start-up
     # cost; a value the user sets wins, and pool workers inherit it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        params = _merge_params(args, _flag_actions(parser))
+        params = _merge_params(args)
         for name in _REQUIRED:
             if name in params and params[name] is None:
                 raise ParseError(f"missing required flag --{name.replace('_', '-')}")
@@ -380,7 +349,8 @@ def main(argv: list[str] | None = None) -> int:
             graph = load_edge_list(params["input"], params["format"])
             digest = digest_file(params["input"])
         manifest = _manifest(args.command, params, digest)
-        for path, artifact in _HANDLERS[args.command](params, graph).items():
+        handler, _, _ = _COMMANDS[args.command]
+        for path, artifact in handler(params, graph).items():
             write_text(path, _stamped(path, artifact, manifest, params["format"]))
         return 0
     except (OSError, ParseError, UnicodeDecodeError) as exc:
