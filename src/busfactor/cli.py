@@ -17,6 +17,7 @@ degenerate request (including out-of-range thresholds), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import itertools
@@ -339,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     # cost; a value the user sets wins, and pool workers inherit it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
+    temporaries: list[str] = []
     try:
         params = _merge_params(args)
         for name in _REQUIRED:
@@ -350,8 +352,19 @@ def main(argv: list[str] | None = None) -> int:
             digest = digest_file(params["input"])
         manifest = _manifest(args.command, params, digest)
         handler, _, _ = _COMMANDS[args.command]
-        for path, artifact in handler(params, graph).items():
-            write_text(path, _stamped(path, artifact, manifest, params["format"]))
+        artifacts = handler(params, graph)
+        targets = [os.path.realpath(path) for path in artifacts]
+        if "input" in params and os.path.realpath(params["input"]) in targets:
+            raise ParseError(f"an output names the --input file {params['input']}")
+        # Each artifact is written beside its target and moved into place
+        # once all are complete, so that a failed run writes no file.
+        for (path, artifact), target in zip(artifacts.items(), targets):
+            temporary = f"{target}.{os.getpid()}.tmp"
+            open(temporary, "x").close()  # a file already there is left alone
+            temporaries.append(temporary)
+            write_text(temporary, _stamped(path, artifact, manifest, params["format"]))
+        while temporaries:
+            os.replace(temporaries.pop(), targets.pop())
         return 0
     except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"busfactor: input error: {exc}", file=sys.stderr)
@@ -365,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # invariant violation or bug
         print(f"busfactor: internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for temporary in temporaries:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
 
 
 if __name__ == "__main__":

@@ -370,3 +370,31 @@ def test_only_the_cli_main_loads_and_writes():
         if isinstance(node, ast.FunctionDef) and "manifest" in _arg_names(node)
     ]
     assert taking == []
+
+
+def test_each_flag_and_command_is_said_once():
+    # cli._FLAGS and cli._COMMANDS build the parser and check --config
+    # values: no flag is declared elsewhere, none twice, none unused, and no
+    # module reads argparse's private list of actions back
+    from busfactor import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    declaring = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".add_argument")
+    }
+    assert declaring == {"build_parser"}
+    reading = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_actions"
+    ]
+    assert reading == []
+    destinations = [ast.literal_eval(key) for key in _assigned(tree, "_FLAGS").keys]
+    assert len(destinations) == len(set(destinations))
+    parser = cli.build_parser()
+    taken = set().union(*(vars(parser.parse_args([command])) for command in cli._COMMANDS))
+    assert taken == {"command", *destinations}

@@ -5,9 +5,11 @@ import importlib.util
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import busfactor
 from busfactor import AnnealingConfig, GeneratorConfig, NullModelConfig, cli, optimize
@@ -461,6 +463,40 @@ def test_analyze_refuses_a_decay_output_naming_the_report(tmp_path, capsys, fixt
         assert list(report.parent.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("g.csv", ["decay", "--input", "g.csv", "--output", "./g.csv"]),
+        ("opt.graph.csv", ["optimize", "--input", "opt.graph.csv", "--output-prefix", "opt",
+                           "--steps-per-temperature", 2, "--cooling-rate", "0.5"]),
+    ],
+    ids=["decay", "optimize"],
+)
+def test_no_output_may_replace_the_input(tmp_path, monkeypatch, capsys, name, argv):
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / name
+    graph.write_text(FOUR_EDGE_CSV)
+    assert run(*argv) == 1
+    assert "names the --input file" in capsys.readouterr().err
+    assert hashlib.sha256(graph.read_bytes()).hexdigest() == hashlib.sha256(
+        FOUR_EDGE_CSV.encode()).hexdigest()
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+
+
+def test_a_failed_run_writes_nothing(tmp_path, monkeypatch, fixture_path):
+    # the report cannot be written, so the decay CSV written before it
+    # must not appear, nor replace a file already there
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", "--input", fixture_path, "--output", "nodir/r.json",
+            "--decay-output", "d.csv"]
+    assert run(*argv) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["fixture.csv"]
+    (tmp_path / "d.csv").write_bytes(b"earlier bytes\n")
+    assert run(*argv) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv", "fixture.csv"]
+    assert (tmp_path / "d.csv").read_bytes() == b"earlier bytes\n"
+
+
 def test_generate_defaults_to_the_desk_size(tmp_path):
     out = tmp_path / "g.csv"
     assert run("generate", "--seed", 1, "--output", out) == 0
@@ -712,6 +748,95 @@ def test_every_artifact_matches_the_bench_digests(tmp_path, criterion9_path, mon
         assert main(list(command.argv)) == 0, command.argv
     names = [criterion9_path.name, *(a for c in workload.commands for a in c.artifacts)]
     assert {name: sha256(name) for name in names} == reference
+
+
+# Valid values of each flag, as command-line text, kept small so that a run
+# stays short; the paths name files in the run's directory.
+_FLAG_TEXTS = {
+    "format": st.sampled_from(["csv", "json"]),
+    "delta": st.sampled_from(["0.5", "0.8", "1", "0.25"]),
+    "decay_output": st.just("d.csv"),
+    "people": st.integers(5, 30).map(str),
+    "tasks": st.integers(5, 30).map(str),
+    "exponent_people": st.sampled_from(["2.5", "3", "2.1"]),
+    "exponent_tasks": st.sampled_from(["2.5", "3", "2.1"]),
+    "min_degree": st.integers(1, 2).map(str),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "kind": st.sampled_from(SWEEP_KINDS),
+    "steps": st.integers(1, 20).map(str),
+    "stride": st.integers(1, 5).map(str),
+    "workers": st.integers(1, 2).map(str),
+    "samples": st.integers(1, 6).map(str),
+    "swaps_per_edge": st.integers(1, 3).map(str),
+    "calibrate": st.integers(1, 3).map(str),
+    "include_null_values": st.booleans(),
+    "initial_temperature": st.sampled_from(["0.05", "0.1"]),
+    "cooling_rate": st.sampled_from(["0.5", "0.8"]),
+    "steps_per_temperature": st.integers(1, 3).map(str),
+    "min_temperature": st.sampled_from(["0.001", "0.01"]),
+    "restarts": st.integers(1, 2).map(str),
+    "adaptive": st.booleans(),
+    "input": st.just("fixture.csv"),
+    "output": st.just("out.csv"),
+    "output_prefix": st.just("opt"),
+}
+# Always given: the required flags, and the sizes whose defaults run long.
+_ALWAYS_GIVEN = {"input", "output", "output_prefix", "kind", "people", "tasks", "steps",
+                 "samples", "steps_per_temperature"}
+
+
+def _config_spelling(text):
+    """A --config value for a flag's text: the text, or the JSON number it spells."""
+    try:
+        return st.sampled_from([text, json.loads(text)])
+    except ValueError:
+        return st.just(text)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_values_and_flags_are_one_input_path(tmp_path, criterion9_path, command, data):
+    assert set(_FLAG_TEXTS) == set(cli._FLAGS) - {"config"}
+    _, _, own = cli._COMMANDS[command]
+    texts = {
+        dest: data.draw(_FLAG_TEXTS[dest], label=dest)
+        for dest in ("format", *own)
+        if dest in _ALWAYS_GIVEN or data.draw(st.booleans(), label=f"give {dest}")
+    }
+    if "input" in texts:
+        texts["input"] = f"fixture.{texts.get('format', 'csv')}"
+    flags = []
+    for dest, text in texts.items():
+        name = "--" + dest.replace("_", "-")
+        if text is True:
+            flags.append(name)
+        elif text is not False:  # a switch left off
+            flags += [name, text]
+    config = {
+        dest: text if isinstance(text, bool) else data.draw(_config_spelling(text))
+        for dest, text in texts.items()
+    }
+    graph = load_edge_list(criterion9_path)
+    outcomes = []
+    for argv, config_text in (([command, *flags], None),
+                              ([command, "--config", "c.json"], json.dumps(config))):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        save_edge_list(graph, work / "fixture.csv")
+        save_edge_list(graph, work / "fixture.json")
+        if config_text is not None:
+            (work / "c.json").write_text(config_text)
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+        inputs = ("fixture.csv", "fixture.json", "c.json")
+        made = {p.name: p.read_bytes() for p in work.iterdir() if p.name not in inputs}
+        outcomes.append((code, made))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- import cost ------------------------------------------------------------------
