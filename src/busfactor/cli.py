@@ -35,6 +35,7 @@ from .io import (
     FORMATS,
     csv_pieces,
     file_format,
+    graph_fields,
     json_pieces,
     load_edge_list,
     person_label,
@@ -240,7 +241,7 @@ def _stamped(
         return canonical_json({"manifest": manifest, **artifact})
     if isinstance(artifact, FrozenGraph):
         if file_format(path, fmt) == "json":
-            return json_pieces(artifact, canonical_json(manifest))
+            return json_pieces({"manifest": manifest, **graph_fields(artifact)})
         artifact = csv_pieces(artifact)
     comment = "# manifest: " + canonical_json(manifest, indent=None) + "\n"
     return itertools.chain([comment], artifact)
@@ -340,7 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     # cost; a value the user sets wins, and pool workers inherit it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    temporaries: list[str] = []
+    temporaries: dict[str, str] = {}  # each temporary file to its output's path
+    writing = None  # the output being written, as its flag names it
     try:
         params = _merge_params(args)
         for name in _REQUIRED:
@@ -353,20 +355,31 @@ def main(argv: list[str] | None = None) -> int:
         manifest = _manifest(args.command, params, digest)
         handler, _, _ = _COMMANDS[args.command]
         artifacts = handler(params, graph)
-        targets = [os.path.realpath(path) for path in artifacts]
-        if "input" in params and os.path.realpath(params["input"]) in targets:
+        targets = {path: os.path.realpath(path) for path in artifacts}
+        if "input" in params and os.path.realpath(params["input"]) in targets.values():
             raise ParseError(f"an output names the --input file {params['input']}")
         # Each artifact is written beside its target and moved into place
-        # once all are complete, so that a failed run writes no file.
-        for (path, artifact), target in zip(artifacts.items(), targets):
-            temporary = f"{target}.{os.getpid()}.tmp"
-            open(temporary, "x").close()  # a file already there is left alone
-            temporaries.append(temporary)
-            write_text(temporary, _stamped(path, artifact, manifest, params["format"]))
+        # once all are complete, so that a failed run writes no file. An
+        # output that exists and is not a regular file (a FIFO, a device, a
+        # pipe as /dev/stdout) cannot be replaced: it is written in place,
+        # after the rest.
+        in_place = {p for p in artifacts if os.path.exists(p) and not os.path.isfile(p)}
+        for writing in sorted(artifacts, key=in_place.__contains__):
+            text = _stamped(writing, artifacts[writing], manifest, params["format"])
+            if writing in in_place:
+                write_text(writing, text)
+            else:
+                temporary = f"{targets[writing]}.{os.getpid()}.tmp"
+                open(temporary, "x").close()  # a file already there is left alone
+                temporaries[temporary] = writing
+                write_text(temporary, text)
         while temporaries:
-            os.replace(temporaries.pop(), targets.pop())
+            temporary, writing = temporaries.popitem()
+            os.replace(temporary, targets[writing])
         return 0
     except (OSError, ParseError, UnicodeDecodeError) as exc:
+        if writing is not None and isinstance(exc, OSError) and exc.filename is not None:
+            exc = OSError(exc.errno, exc.strerror, writing)  # not the temporary's name
         print(f"busfactor: input error: {exc}", file=sys.stderr)
         return 1
     except (InfeasibleError, DegenerateError) as exc:

@@ -1,4 +1,4 @@
-"""Edge-list serialization.
+"""Edge-list serialization, and :func:`json_pieces`, the one JSON writer.
 
 Two interchangeable on-disk formats:
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 
 from .errors import ParseError
@@ -74,7 +75,7 @@ def render_edge_list(graph: FrozenGraph, fmt: str = "csv") -> str:
 
 
 def _pieces(graph: FrozenGraph, fmt: str) -> Iterator[str]:
-    return (csv_pieces if _known(fmt) == "csv" else json_pieces)(graph)
+    return csv_pieces(graph) if _known(fmt) == "csv" else json_pieces(graph_fields(graph))
 
 
 def _known(fmt: str) -> str:
@@ -222,31 +223,59 @@ def _parse_json(data: str) -> FrozenGraph:
     return freeze_maps(people, task_ids.values())
 
 
-def json_pieces(graph: FrozenGraph, manifest: str | None = None) -> Iterator[str]:
-    """The canonical JSON of ``graph``: keys sorted, two-space indent,
-    yielded a person's edges at a time, then a node at a time, as
-    :func:`csv_pieces` is. ``manifest`` is the text of a JSON value, as
-    ``reporting.canonical_json`` renders it, put under a ``manifest`` key."""
+def graph_fields(graph: FrozenGraph) -> dict[str, Iterator]:
+    """The arrays of ``graph``'s JSON file, each drawn as it is written."""
     people, tasks, adjacency = graph
-    yield '{\n  "edges": '
-    yield from _json_array(
-        ",".join([f'\n    [\n      "{person_label(p)}",\n      "{task_label(tasks[t])}"\n    ]'
-                  for t in own])
-        for p, own in zip(people, adjacency) if own
-    )
-    if manifest is not None:  # a rendered string holds no raw newline
-        yield ',\n  "manifest": ' + manifest.rstrip("\n").replace("\n", "\n  ")
-    for key, ids, label in (("people", people, person_label), ("tasks", tasks, task_label)):
-        yield f',\n  "{key}": '
-        yield from _json_array(f'\n    "{label(i)}"' for i in ids)
-    yield "\n}\n"
+    edges = ((person_label(p), task_label(tasks[t]))
+             for p, own in zip(people, adjacency) for t in own)
+    return {"edges": edges, "people": map(person_label, people), "tasks": map(task_label, tasks)}
 
 
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """A JSON array, one level in, of ``items``: runs of elements, each on
-    its own indented lines and the run's elements joined by commas."""
-    sep = "["
-    for item in items:
-        yield sep + item
-        sep = ","
-    yield "[]" if sep == "[" else "\n  ]"
+def fmt_float(value: float) -> str:
+    """17-significant-digit decimal; always carries a float marker."""
+    text = format(float(value), ".17g")
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
+
+
+def json_pieces(obj, indent: int | None = 2) -> Iterator[str]:
+    """The canonical JSON text of ``obj``: sorted keys, :func:`fmt_float`
+    floats, each member on its own line ``indent`` spaces in and a final
+    newline, or one line if ``indent`` is None. Lists, tuples and iterators
+    are arrays, drawn as they are written. Any other type (a set among
+    them) or a key that is not a string raises ``TypeError``."""
+    pad, step, colon = ("", "", ":") if indent is None else ("\n", " " * indent, ": ")
+    yield from _json(obj, pad, step, colon)
+    yield pad  # the final newline of the indented form
+
+
+def _json(obj, pad: str, step: str, colon: str) -> Iterator[str]:
+    """``obj`` at the depth whose line break and indentation is ``pad``."""
+    inner = pad + step
+    if isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):  # _json_string refuses a key not a str
+            text = _json_scalar(obj[key])
+            yield ("," if i else "{") + inner + _json_string(key) + colon + (text or "")
+            if text is None:  # a member is yielded as it is rendered
+                yield from _json(obj[key], inner, step, colon)
+        yield pad + "}" if obj else "{}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "["
+        for item in obj:  # an element is yielded whole
+            yield sep + inner + (_json_scalar(item) or "".join(_json(item, inner, step, colon)))
+            sep = ","
+        yield "[]" if sep == "[" else pad + "]"
+    else:
+        yield _json_scalar(obj)
+
+
+def _json_scalar(obj) -> str | None:
+    """The JSON text of ``obj``, or None if ``obj`` is a container."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, (dict, list, tuple, Iterator)):
+        return None
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, float)):
+        return fmt_float(obj) if isinstance(obj, float) else str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")

@@ -1,11 +1,11 @@
 """Deterministic artifact serialization.
 
-Artifacts are rendered through a canonical writer: keys sorted, floats
-printed with 17 significant digits so they round-trip exactly, LF line
-endings. Re-running a command with the same inputs must reproduce files
-byte for byte. The renderers here emit bare artifacts; the command line
-embeds the run manifest (command, parameters, seed, input digest, tool
-version) in each file it writes.
+JSON is rendered by ``io.json_pieces``, the one canonical writer (keys
+sorted, floats printed with 17 significant digits so they round-trip
+exactly), and CSV rows here; LF line endings throughout. Re-running a
+command with the same inputs must reproduce files byte for byte. The
+renderers emit bare artifacts; the command line embeds the run manifest
+(command, parameters, seed, input digest, tool version) in each file.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from json.encoder import encode_basestring as _json_string  # RFC 8259 escapes
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .io import person_label
+from .io import fmt_float, json_pieces, person_label
 
 if TYPE_CHECKING:  # read only in annotations
     from .generators import SweepTable
@@ -25,58 +24,9 @@ if TYPE_CHECKING:  # read only in annotations
     from .robustness import RobustnessResult
 
 
-def fmt_float(value: float) -> str:
-    """17-significant-digit decimal; always carries a float marker."""
-    text = format(float(value), ".17g")
-    if "." not in text and "e" not in text and "n" not in text:
-        text += ".0"
-    return text
-
-
 def canonical_json(obj, indent: int | None = 2) -> str:
-    """Render JSON with sorted keys and fmt_float floats."""
-    pieces: list[str] = []
-    _write_json(obj, pieces, indent, 0)
-    return "".join(pieces) + ("\n" if indent is not None else "")
-
-
-def _write_json(obj, out: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    closing_pad = "" if indent is None else "\n" + " " * (indent * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(("," if i else "") + pad)
-            out.append(_json_string(key))
-            out.append(": " if indent is not None else ":")
-            _write_json(obj[key], out, indent, level + 1)
-        out.append(closing_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(obj):
-            out.append(("," if i else "") + pad)
-            _write_json(item, out, indent, level + 1)
-        out.append(closing_pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+    """The text of :func:`~busfactor.io.json_pieces`, joined."""
+    return "".join(json_pieces(obj, indent))
 
 
 def digest_file(path: str | Path) -> str:

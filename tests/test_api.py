@@ -353,7 +353,7 @@ def test_only_the_cli_main_loads_and_writes():
         assert not set().union(*(functions[f] for f in reached)) & opening, handler
 
     # the manifest is read where it is built and where it is stamped, and
-    # no renderer takes one
+    # no renderer or writer takes one
     readers = [
         name
         for name, function in defs.items()
@@ -363,10 +363,10 @@ def test_only_the_cli_main_loads_and_writes():
         )
     ]
     assert sorted(readers) == ["_stamped", "main"]
-    renderers = ast.parse((SRC / "reporting.py").read_text(encoding="utf-8"))
     taking = [
-        node.name
-        for node in ast.walk(renderers)
+        (module, node.name)
+        for module in ("reporting.py", "io.py")
+        for node in ast.walk(ast.parse((SRC / module).read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef) and "manifest" in _arg_names(node)
     ]
     assert taking == []

@@ -4,8 +4,10 @@ import hashlib
 import importlib.util
 import json
 import os
+import stat
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -496,6 +498,42 @@ def test_a_failed_run_writes_nothing(tmp_path, monkeypatch, fixture_path):
     assert (tmp_path / "d.csv").read_bytes() == b"earlier bytes\n"
 
 
+def test_a_write_error_names_the_output_as_given(tmp_path, monkeypatch, capsys, fixture_path):
+    monkeypatch.chdir(tmp_path)
+    assert run("decay", "--input", fixture_path, "--output", "nodir/r.csv") == 1
+    err = capsys.readouterr().err
+    assert "'nodir/r.csv'" in err and ".tmp" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_output_is_written_in_place(tmp_path, fixture_path):
+    # a FIFO cannot be replaced by a renamed file: its reader would wait
+    # for bytes that go elsewhere
+    assert run("decay", "--input", fixture_path, "--output", tmp_path / "decay.csv") == 0
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run("decay", "--input", fixture_path, "--output", fifo) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [(tmp_path / "decay.csv").read_bytes()]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "decay.csv", "fixture.csv", "out.fifo"
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_dev_stdout_on_a_pipe_is_an_output(tmp_path, fixture_path):
+    assert run("decay", "--input", fixture_path, "--output", tmp_path / "decay.csv") == 0
+    argv = ("-m", "busfactor.cli", "decay", "--input", fixture_path, "--output", "/dev/stdout")
+    done = checkout_python(tmp_path, *argv, timeout=60)  # stdout is a pipe
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (tmp_path / "decay.csv").read_text()
+
+
 def test_generate_defaults_to_the_desk_size(tmp_path):
     out = tmp_path / "g.csv"
     assert run("generate", "--seed", 1, "--output", out) == 0
@@ -617,6 +655,16 @@ def test_fmt_float_marks_integral_floats():
     # the 0.0 and 1.0 robustness of the edge cases stay floats in reports
     assert [fmt_float(v) for v in (0.0, 1.0, 2.0)] == ["0.0", "1.0", "2.0"]
     assert canonical_json([0.0, 1.0], None) == "[0.0,1.0]"
+
+
+def test_canonical_json_refuses_what_has_no_canonical_text():
+    from busfactor.reporting import canonical_json
+
+    # a key that is not a string, and a set, whose order is not defined
+    for obj in ({1: "a"}, {"a": {None: 1}}, {"a": {1, 2}}, [frozenset()]):
+        for indent in (2, None):
+            with pytest.raises(TypeError):
+                canonical_json(obj, indent)
 
 
 def test_canonical_json_escapes_every_control_character():
@@ -747,6 +795,50 @@ def test_every_artifact_matches_the_bench_digests(tmp_path, criterion9_path, mon
         assert main(list(command.argv)) == 0, command.argv
     names = [criterion9_path.name, *(a for c in workload.commands for a in c.artifacts)]
     assert {name: sha256(name) for name in names} == reference
+
+
+def _embedded_manifest(path: Path) -> dict:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["manifest"]
+    first, _, _ = text.partition("\n")
+    return json.loads(first.removeprefix("# manifest: "))
+
+
+def test_the_manifest_alone_replays_every_artifact(tmp_path, criterion9_path, monkeypatch):
+    # each command of the criterion-9 chain is rebuilt from the manifest in
+    # its first artifact (plus its output flag) and rerun in a fresh
+    # directory under the same file names; every artifact must repeat
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    digest = hashlib.sha256(criterion9_path.read_bytes()).hexdigest()
+    monkeypatch.chdir(tmp_path)
+    commands = workloads.criterion9().commands
+    for command in commands:
+        assert main(list(command.argv)) == 0, command.argv
+    for i, command in enumerate(commands):
+        manifest = _embedded_manifest(tmp_path / command.artifacts[0])
+        argv = [manifest["command"]]
+        if manifest["input_sha256"] is not None:
+            assert manifest["input_sha256"] == digest
+            argv += ["--input", criterion9_path.name]
+        for key, value in manifest["parameters"].items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not False:
+                argv += [flag, str(value)]
+        at = next(k for k, a in enumerate(command.argv) if a in ("--output", "--output-prefix"))
+        argv += command.argv[at:at + 2]
+        fresh = tmp_path / f"replay{i}"
+        fresh.mkdir()
+        (fresh / criterion9_path.name).write_bytes(criterion9_path.read_bytes())
+        monkeypatch.chdir(fresh)
+        assert main(argv) == 0, argv
+        for name in command.artifacts:
+            assert (fresh / name).read_bytes() == (tmp_path / name).read_bytes(), (argv, name)
 
 
 # Valid values of each flag, as command-line text, kept small so that a run
