@@ -365,14 +365,12 @@ def main(argv: list[str] | None = None) -> int:
         # after the rest.
         in_place = {p for p in artifacts if os.path.exists(p) and not os.path.isfile(p)}
         for writing in sorted(artifacts, key=in_place.__contains__):
-            text = _stamped(writing, artifacts[writing], manifest, params["format"])
-            if writing in in_place:
-                write_text(writing, text)
-            else:
-                temporary = f"{targets[writing]}.{os.getpid()}.tmp"
-                open(temporary, "x").close()  # a file already there is left alone
-                temporaries[temporary] = writing
-                write_text(temporary, text)
+            path = writing
+            if writing not in in_place:
+                path = f"{targets[writing]}.{os.getpid()}.tmp"
+                open(path, "x").close()  # a file already there is left alone
+                temporaries[path] = writing
+            write_text(path, _stamped(writing, artifacts[writing], manifest, params["format"]))
         while temporaries:
             temporary, writing = temporaries.popitem()
             os.replace(temporary, targets[writing])
